@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .grid import Boundary, Grid, make_grid, make_grid_1d, wrap
+from .grid import Boundary, Grid, make_grid, make_grid_1d
 from .operators import (BoundaryValues, coupling, coupling_prime, coupling_second,
                         delta_x, delta_y, extrapolate_half_step, h1_norm, laplacian,
                         time_average)
@@ -20,7 +20,7 @@ from .diagnostics import (EnergyRecord, EnergyRecorder, ErrorReport,
                           original_law_residual)
 
 __all__ = [
-    "Boundary", "Grid", "make_grid", "make_grid_1d", "wrap",
+    "Boundary", "Grid", "make_grid", "make_grid_1d",
     "BoundaryValues", "coupling", "coupling_prime", "coupling_second",
     "delta_x", "delta_y", "extrapolate_half_step", "h1_norm", "laplacian",
     "time_average",

@@ -1,4 +1,4 @@
-"""Rectangular meshes, periodic index arithmetic, and discrete norms.
+"""Rectangular meshes and discrete norms.
 
 Fields on a grid are plain ``numpy`` arrays of shape ``(n2, n1)``: the second
 axis runs along x, the first along y, so flattening in C order enumerates
@@ -21,15 +21,6 @@ class Boundary(enum.Enum):
 
     PERIODIC = "periodic"
     DIRICHLET_EXACT = "dirichlet-exact"
-
-
-def wrap(j: int, n: int) -> int:
-    """Periodic image of index ``j`` in ``[0, n-1]``.
-
-    Total for every integer ``j`` (the contract only requires
-    ``-1 <= j <= n``), idempotent on in-range indices.
-    """
-    return j % n
 
 
 @dataclass(frozen=True)

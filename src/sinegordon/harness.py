@@ -6,8 +6,9 @@ timestamps and all reductions are deterministic, so repeated runs of the same
 config produce byte-identical CSVs; the wall-clock columns (``cpu.csv`` and
 the ``cpu_s`` column of ``convergence.csv``) are the documented exception.
 
-Exit status: 0 on success, 1 on numerical failure (with the last good level's
-diagnostics flushed), 2 on configuration errors.
+Exit status: 0 on success, 1 on numerical failure, 2 on configuration errors.
+A numerical failure still flushes every output finished before it; stderr
+and the ``failure`` key of ``meta.json`` name it.
 """
 
 from __future__ import annotations
@@ -111,12 +112,21 @@ def write_field_csv(path: Path, grid, values: np.ndarray) -> None:
             w.writerow([_fmt(xv), _fmt(yv), _fmt(vv)])
 
 
-def _write_meta(out: Path, command: str, config: dict, extra: dict) -> None:
+def _write_meta(out: Path, command: str, config: dict, extra: dict,
+                failure: str | None = None) -> int:
+    """Write ``meta.json`` and return the exit status.
+
+    A numerical failure is recorded under ``failure`` and reported on stderr.
+    """
     meta = {"command": command, "package_version": __version__, "config": config}
     meta.update(extra)
+    if failure is not None:
+        meta["failure"] = failure
+        print(f"numerical failure: {failure}", file=sys.stderr)
     with open(out / "meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return 0 if failure is None else 1
 
 
 class _SnapshotRecorder:
@@ -167,10 +177,7 @@ def cmd_run(cfg: RunConfig) -> int:
             "cg_iterations_max": result.cg_iterations_max,
             "fp_sweeps": result.fp_sweeps,
         })
-    else:
-        extra["failure"] = failure
-    _write_meta(out, "run", asdict(cfg), extra)
-    return 0 if failure is None else 1
+    return _write_meta(out, "run", asdict(cfg), extra, failure)
 
 
 def cmd_converge(cfg: RunConfig, levels: int) -> int:
@@ -184,20 +191,27 @@ def cmd_converge(cfg: RunConfig, levels: int) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     rows = []
+    failure = None
     for lvl in range(levels):
         scale = 2**lvl
         n1 = cfg.n1 * scale
         n2 = None if cfg.n2 is None else cfg.n2 * scale
         grid = problem.grid(n1, n2)
         time_grid = TimeGrid.from_final_time(cfg.tau / scale, cfg.T)
-        result = run(problem, grid, time_grid, scheme=cfg.scheme,
-                     cg_tol=cfg.cg_tol, fp_tol=cfg.fp_tol, fp_max=cfg.fp_max)
+        try:
+            result = run(problem, grid, time_grid, scheme=cfg.scheme,
+                         cg_tol=cfg.cg_tol, fp_tol=cfg.fp_tol, fp_max=cfg.fp_max)
+        except NumericalError as exc:
+            failure = f"level {lvl}: {exc}"
+            break
         err = error_vs_exact(result.state, problem)
         rows.append({"h": grid.h1, "tau": time_grid.tau, "l2": err.l2,
                      "linf": err.linf, "h1": err.h1, "cpu_s": result.wall_seconds})
 
-    orders = {norm: convergence_orders([(r["h"], r["tau"], r[norm]) for r in rows])
-              for norm in ("l2", "linf", "h1")}
+    orders = {}
+    if len(rows) > 1:
+        orders = {norm: convergence_orders([(r["h"], r["tau"], r[norm]) for r in rows])
+                  for norm in ("l2", "linf", "h1")}
     with open(out / "convergence.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["h", "tau", "l2", "l2_order", "linf", "linf_order",
@@ -210,16 +224,7 @@ def cmd_converge(cfg: RunConfig, levels: int) -> int:
                 _fmt(row["h1"]), "" if i == 0 else _fmt(orders["h1"][i - 1]),
                 _fmt(row["cpu_s"]),
             ])
-    _write_meta(out, "converge", {**asdict(cfg), "levels": levels}, {})
-    return 0
-
-
-def _validate_compare_pair(cfg_a: RunConfig, cfg_b: RunConfig) -> None:
-    """Scheme comparisons must share the mesh, the step, and the horizon."""
-    for name in ("problem", "n1", "n2", "tau", "T"):
-        if getattr(cfg_a, name) != getattr(cfg_b, name):
-            raise ConfigError(f"compare configs disagree on {name}: "
-                              f"{getattr(cfg_a, name)!r} vs {getattr(cfg_b, name)!r}")
+    return _write_meta(out, "converge", {**asdict(cfg), "levels": levels}, {}, failure)
 
 
 def cmd_compare(cfg: RunConfig) -> int:
@@ -228,10 +233,6 @@ def cmd_compare(cfg: RunConfig) -> int:
     The schemes run sequentially so the wall-clock comparison is not skewed by
     contention.
     """
-    from dataclasses import replace
-
-    configs = {scheme: replace(cfg, scheme=scheme) for scheme in SCHEMES}
-    _validate_compare_pair(*configs.values())
     problem, grid, time_grid = _build(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -239,11 +240,17 @@ def cmd_compare(cfg: RunConfig) -> int:
     bc = DirichletBoundary(problem, grid) if grid.boundary is Boundary.DIRICHLET_EXACT else None
     cpu_rows = []
     solver_stats = {}
+    failure = None
     for scheme in SCHEMES:
         energy = EnergyRecorder(every=cfg.record_every, bc=bc)
-        result = run(problem, grid, time_grid, scheme=scheme, recorders=(energy,),
-                     cg_tol=cfg.cg_tol, fp_tol=cfg.fp_tol, fp_max=cfg.fp_max)
+        try:
+            result = run(problem, grid, time_grid, scheme=scheme, recorders=(energy,),
+                         cg_tol=cfg.cg_tol, fp_tol=cfg.fp_tol, fp_max=cfg.fp_max)
+        except NumericalError as exc:
+            failure = f"{scheme}: {exc}"
         write_energy_csv(out / f"energy_{scheme}.csv", energy.records)
+        if failure is not None:
+            break
         cpu_rows.append((scheme, grid.num_nodes, result.wall_seconds))
         solver_stats[scheme] = {"cg_iterations": result.cg_iterations,
                                 "fp_sweeps": result.fp_sweeps,
@@ -254,8 +261,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         w.writerow(["scheme", "nodes", "wall_seconds"])
         for scheme, nodes, wall in cpu_rows:
             w.writerow([scheme, nodes, _fmt(wall)])
-    _write_meta(out, "compare", asdict(cfg), {"solver": solver_stats})
-    return 0
+    return _write_meta(out, "compare", asdict(cfg), {"solver": solver_stats}, failure)
 
 
 def _parse_n(text: str) -> tuple[int, int | None]:
@@ -289,11 +295,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fp-max", type=int, default=50)
 
 
-def _config_from_args(args: argparse.Namespace, scheme: str | None = None) -> RunConfig:
+def _config_from_args(args: argparse.Namespace) -> RunConfig:
     n1, n2 = _parse_n(args.n)
     return RunConfig(
         problem=args.problem,
-        scheme=scheme if scheme is not None else getattr(args, "scheme", "li-leps"),
+        scheme=getattr(args, "scheme", "li-leps"),
         n1=n1, n2=n2,
         tau=args.tau, T=args.T,
         record_every=args.record_every,

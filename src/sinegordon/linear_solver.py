@@ -5,6 +5,11 @@ positive definite with spectrum bounded below by 1, so the step solve can
 never fail for definiteness reasons; CG with the exact (matrix-free) Jacobi
 diagonal converges in a handful of iterations at the time-step/mesh ratios the
 experiments use.
+
+Both boundary modes share the operator and the solver.  On Dirichlet-exact
+grids the unknowns are the interior nodes: the caller lifts the known edge
+data into the right-hand side and passes fields that are zero on the pinned
+low-edge ring, and the solve keeps them zero there.
 """
 
 from __future__ import annotations
@@ -13,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Boundary, Grid
-from .operators import BoundaryValues, laplacian
+from .grid import Grid
+from .operators import laplacian
 
 
 class NumericalError(RuntimeError):
@@ -37,16 +42,16 @@ class SystemOperator:
     """The implicit-step system ``A = I - (tau^2/4)*Lap + (tau^2/8)*diag(d)^2``.
 
     ``d`` is the coupling coefficient evaluated at the predicted half-step
-    field, one value per node.  ``bv`` carries Dirichlet edge values for the
-    time level being solved; on Dirichlet grids the solve operates on the
-    interior unknowns with homogeneous edge data (the known boundary
-    contribution is moved to the right-hand side by the caller).
+    field, one value per node.  The Laplacian reads zeros past the high edges
+    of a Dirichlet-exact grid and zeroes the pinned low-edge ring of its
+    output, so there ``A`` maps fields that are zero on the ring to fields
+    that are zero on it: the system of the interior unknowns with homogeneous
+    edge data.
     """
 
     grid: Grid
     tau: float
     d: np.ndarray
-    bv: BoundaryValues | None = None
 
     def __post_init__(self):
         self.grid.check_field(self.d, "d")
@@ -57,15 +62,15 @@ class SystemOperator:
         """Full-field application ``w - (tau^2/4)*Lap(w) + (tau^2/8)*d^2*w``."""
         self.grid.check_field(w, "w")
         t2 = self.tau * self.tau
-        return w - 0.25 * t2 * laplacian(self.grid, w, self.bv) + 0.125 * t2 * (self.d * self.d) * w
+        return w - 0.25 * t2 * laplacian(self.grid, w) + 0.125 * t2 * (self.d * self.d) * w
 
     def apply_interior(self, w: np.ndarray) -> np.ndarray:
-        """Application restricted to interior unknowns with homogeneous edges."""
-        mask = self.grid.interior_mask
-        t2 = self.tau * self.tau
-        wm = np.where(mask, w, 0.0)
-        out = wm - 0.25 * t2 * laplacian(self.grid, wm, None) + 0.125 * t2 * (self.d * self.d) * wm
-        return np.where(mask, out, 0.0)
+        """``apply`` to the interior unknowns of ``w``, reading its pinned ring as zero.
+
+        The solver does not need it (its fields are already zero on the ring);
+        it gives the interior block for fields whose ring holds edge data.
+        """
+        return self.apply(np.where(self.grid.interior_mask, w, 0.0))
 
     def diagonal(self) -> np.ndarray:
         """Exact matrix diagonal, used as the Jacobi preconditioner.
@@ -81,68 +86,6 @@ class SystemOperator:
         return diag
 
 
-def pcg(
-    apply_fn,
-    rhs: np.ndarray,
-    diag: np.ndarray,
-    grid: Grid,
-    tol: float,
-    max_iter: int,
-    x0: np.ndarray | None = None,
-    mask: np.ndarray | None = None,
-    callback=None,
-) -> tuple[np.ndarray, SolveReport]:
-    """Jacobi-preconditioned conjugate gradients on the grid inner product.
-
-    Stops when ``l2(rhs - A x) <= tol * max(1, l2(rhs))``.  ``mask`` limits the
-    iteration to a subspace (fields zero outside it); ``callback`` receives the
-    iterate after each update, for convergence-history tests.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-
-    def masked(w):
-        return np.where(mask, w, 0.0) if mask is not None else w
-
-    def norm(w):
-        return float(np.sqrt(grid.cell_area * np.sum(w * w)))
-
-    target = tol * max(1.0, norm(rhs))
-    if x0 is None:
-        x = np.zeros_like(rhs)
-        r = rhs.copy()
-    else:
-        x = masked(np.array(x0, dtype=float))
-        r = rhs - apply_fn(x)
-    res = norm(r)
-    if res <= target:
-        return x, SolveReport(0, res, True)
-
-    z = masked(r / diag)
-    p = z.copy()
-    rz = grid.cell_area * np.sum(r * z)
-    for k in range(1, max_iter + 1):
-        Ap = apply_fn(p)
-        pAp = grid.cell_area * np.sum(p * Ap)
-        alpha = rz / pAp
-        x = x + alpha * p
-        r = r - alpha * Ap
-        res = norm(r)
-        if callback is not None:
-            callback(x)
-        if not np.isfinite(res):
-            raise NonConvergenceError(f"non-finite residual at iteration {k}")
-        if res <= target:
-            return x, SolveReport(k, res, True)
-        z = masked(r / diag)
-        rz_new = grid.cell_area * np.sum(r * z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise NonConvergenceError(
-        f"pcg did not reach {target:.3e} within {max_iter} iterations (residual {res:.3e})"
-    )
-
-
 def default_max_iter(grid: Grid) -> int:
     """10 * sqrt(node count), bounding pathological solves."""
     return max(10, int(10 * np.sqrt(grid.num_nodes)))
@@ -156,18 +99,60 @@ def pcg_solve(
     x0: np.ndarray | None = None,
     callback=None,
 ) -> tuple[np.ndarray, SolveReport]:
-    """Solve ``op @ x = rhs`` by preconditioned CG.
+    """Solve ``op @ x = rhs`` by Jacobi-preconditioned CG on the grid inner product.
 
-    On Dirichlet-exact grids the solve runs on the interior subspace with
-    homogeneous edge data; the caller is responsible for moving known boundary
-    contributions into ``rhs`` (and masking it).
+    Stops when ``l2(rhs - A x) <= tol * max(1, l2(rhs))`` and raises
+    :class:`NonConvergenceError` after ``max_iter`` iterations (default
+    :func:`default_max_iter`).  ``callback`` receives the iterate after each
+    update, for convergence-history tests.
+
+    On Dirichlet-exact grids ``rhs`` and ``x0`` must be zero on the pinned
+    low-edge ring; the caller moves the known boundary contributions into
+    ``rhs``.  ``op`` and the Jacobi step (``diag >= 1``) keep a zero ring
+    zero, so every iterate and the solution are zero there as well.
     """
     grid = op.grid
     grid.check_field(rhs, "rhs")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     if max_iter is None:
         max_iter = default_max_iter(grid)
-    if grid.boundary is Boundary.DIRICHLET_EXACT:
-        mask = grid.interior_mask
-        return pcg(op.apply_interior, np.where(mask, rhs, 0.0), op.diagonal(), grid,
-                   tol, max_iter, x0=x0, mask=mask, callback=callback)
-    return pcg(op.apply, rhs, op.diagonal(), grid, tol, max_iter, x0=x0, callback=callback)
+    diag = op.diagonal()
+
+    def norm(w):
+        return float(np.sqrt(grid.cell_area * np.sum(w * w)))
+
+    target = tol * max(1.0, norm(rhs))
+    if x0 is None:
+        x = np.zeros_like(rhs)
+        r = rhs.copy()
+    else:
+        x = np.array(x0, dtype=float)
+        r = rhs - op.apply(x)
+    res = norm(r)
+    if res <= target:
+        return x, SolveReport(0, res, True)
+
+    z = r / diag
+    p = z.copy()
+    rz = grid.cell_area * np.sum(r * z)
+    for k in range(1, max_iter + 1):
+        Ap = op.apply(p)
+        pAp = grid.cell_area * np.sum(p * Ap)
+        alpha = rz / pAp
+        x = x + alpha * p
+        r = r - alpha * Ap
+        res = norm(r)
+        if callback is not None:
+            callback(x)
+        if not np.isfinite(res):
+            raise NonConvergenceError(f"non-finite residual at iteration {k}")
+        if res <= target:
+            return x, SolveReport(k, res, True)
+        z = r / diag
+        rz_new = grid.cell_area * np.sum(r * z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise NonConvergenceError(
+        f"CG did not reach {target:.3e} within {max_iter} iterations (residual {res:.3e})"
+    )

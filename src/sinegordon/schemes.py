@@ -99,6 +99,30 @@ def init_state(problem: Problem, grid: Grid) -> SchemeState:
     return SchemeState(grid, 0.0, u, v, r)
 
 
+def _lift(
+    state: SchemeState, tau: float, bc: DirichletBoundary | None, rhs: np.ndarray
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Dirichlet lifting of the step solve from ``state``.
+
+    On Dirichlet-exact grids the new level is ``known + w``: ``known`` holds
+    the exact values on the pinned low-edge ring and zeros inside, and ``w``
+    solves the step system on the interior unknowns.  Returns ``known``,
+    ``rhs`` plus the edge contribution ``(tau^2/4) Lap(known)``, and the
+    initial guess ``state.u``, the last two zeroed on the ring as
+    :func:`pcg_solve` requires.  Periodic grids (``bc`` None) get
+    ``(None, rhs, state.u)`` back untouched.
+    """
+    if bc is None:
+        return None, rhs, state.u
+    grid = state.grid
+    t_new = state.t + tau
+    t2 = tau * tau
+    known = bc.pin(np.zeros(grid.shape), t_new)
+    rhs = rhs + 0.25 * t2 * laplacian(grid, known, bc.values(t_new))
+    interior = grid.interior_mask
+    return known, np.where(interior, rhs, 0.0), np.where(interior, state.u, 0.0)
+
+
 def _li_advance(
     state: SchemeState,
     tau: float,
@@ -119,20 +143,12 @@ def _li_advance(
     bv_now = bc.values(state.t) if bc is not None else None
     rhs = (u + tau * v + 0.25 * t2 * laplacian(grid, u, bv_now)
            + 0.125 * t2 * (d * d) * u - 0.5 * t2 * d * r)
-
-    if bc is not None:
-        bv_new = bc.values(t_new)
-        op = SystemOperator(grid, tau, d, bv=bv_new)
-        known = bc.pin(np.zeros(grid.shape), t_new)
-        rhs = np.where(grid.interior_mask, rhs - op.apply(known), 0.0)
-        w, report = pcg_solve(op, rhs, tol=cg_tol, max_iter=cg_max_iter,
-                              x0=np.where(grid.interior_mask, u, 0.0))
-        u_new = known + w
-    else:
-        op = SystemOperator(grid, tau, d)
-        u_new, report = pcg_solve(op, rhs, tol=cg_tol, max_iter=cg_max_iter, x0=u)
+    known, rhs, x0 = _lift(state, tau, bc, rhs)
+    w, report = pcg_solve(SystemOperator(grid, tau, d), rhs, tol=cg_tol,
+                          max_iter=cg_max_iter, x0=x0)
     if report_sink is not None:
         report_sink.append(report)
+    u_new = w if known is None else known + w
 
     v_new = 2.0 * (u_new - u) / tau - v
     r_new = r + 0.5 * d * (u_new - u)
@@ -211,23 +227,16 @@ def ep_fds_step(
     u, v = state.u, state.v
     t_new = state.t + tau
     t2 = tau * tau
-    zeros_d = np.zeros(grid.shape)
+    op = SystemOperator(grid, tau, np.zeros(grid.shape))
 
     bv_now = bc.values(state.t) if bc is not None else None
     base = u + tau * v + 0.25 * t2 * laplacian(grid, u, bv_now)
-    if bc is not None:
-        op = SystemOperator(grid, tau, zeros_d, bv=bc.values(t_new))
-        known = bc.pin(np.zeros(grid.shape), t_new)
-        base = np.where(grid.interior_mask, base - op.apply(known), 0.0)
-    else:
-        op = SystemOperator(grid, tau, zeros_d)
-        known = None
+    known, base, u0 = _lift(state, tau, bc, base)
 
-    mask = grid.interior_mask if bc is not None else None
-
-    def restrict(w):
-        return np.where(mask, w, 0.0) if mask is not None else w
-
+    # The sweeps run on the solve's unknowns: the quotient of two fields that
+    # are zero on the pinned ring is zero there too, so every right-hand side
+    # keeps the zero ring the solve requires.
+    #
     # Convergence is judged on the nonlinear-residual contribution of the
     # lagged quotient, not on iterate differences: warm-started CG can
     # limit-cycle at round-off while the equation is already satisfied.  The
@@ -235,23 +244,22 @@ def ep_fds_step(
     # once the quotient lag drops below tolerance the solved equation holds to
     # the sum of the two tolerances.
     target = fp_tol * max(1.0, grid.l2(base))
-    iterate = u
-    quotient = restrict(_cos_quotient(iterate, u))
+    w = u0
+    quotient = _cos_quotient(w, u0)
     for _ in range(fp_max):
         rhs = base - 0.5 * t2 * quotient
-        w, report = pcg_solve(op, rhs, tol=cg_tol, max_iter=cg_max_iter, x0=restrict(iterate))
+        w, report = pcg_solve(op, rhs, tol=cg_tol, max_iter=cg_max_iter, x0=w)
         if report_sink is not None:
             report_sink.append(report)
-        candidate = known + w if known is not None else w
-        new_quotient = restrict(_cos_quotient(candidate, u))
+        new_quotient = _cos_quotient(w, u0)
         lag = 0.5 * t2 * grid.l2(new_quotient - quotient)
-        iterate, quotient = candidate, new_quotient
+        quotient = new_quotient
         if lag <= target:
             break
     else:
         raise NumericalError(f"fixed-point iteration did not converge within {fp_max} sweeps")
 
-    u_new = iterate
+    u_new = w if known is None else known + w
     v_new = 2.0 * (u_new - u) / tau - v
     r_new = np.sqrt(2.0 - np.cos(u_new))
     return SchemeState(grid, t_new, u_new, v_new, r_new, u_prev=u)

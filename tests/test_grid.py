@@ -3,30 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from sinegordon import Boundary, make_grid, make_grid_1d, wrap
+from sinegordon import Boundary, make_grid, make_grid_1d
 
 from oracles import brute_force_inner
-
-
-class TestWrap:
-    def test_left_ghost(self):
-        assert wrap(-1, 8) == 7
-
-    def test_right_ghost(self):
-        assert wrap(8, 8) == 0
-
-    def test_interior_unchanged(self):
-        assert wrap(3, 8) == 3
-
-    def test_idempotent_in_range(self):
-        for n in (1, 2, 5, 8):
-            for j in range(n):
-                assert wrap(wrap(j, n), n) == wrap(j, n) == j
-
-    def test_shift_by_period(self):
-        for n in (1, 3, 8, 17):
-            for j in range(-n, 2 * n):
-                assert wrap(j + n, n) == wrap(j, n)
 
 
 class TestMakeGrid:

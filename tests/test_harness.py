@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
+import sinegordon.harness
 from sinegordon.harness import (ConfigError, RunConfig, _snapshot_steps,
-                                _validate_compare_pair, cmd_compare,
-                                cmd_converge, cmd_run, main)
+                                cmd_compare, cmd_converge, cmd_run, main)
+from sinegordon.linear_solver import NumericalError
 from sinegordon.schemes import TimeGrid
 
 
@@ -46,12 +47,6 @@ class TestConfigValidation:
         cfg = RunConfig(problem="ring", snap_times=(2.0,), tau=0.1, T=1.0)
         with pytest.raises(ConfigError):
             _snapshot_steps(cfg, TimeGrid(0.1, 10))
-
-    def test_compare_pair_tau_mismatch_rejected(self):
-        a = RunConfig(problem="ring", scheme="li-leps", tau=0.01, T=1.0)
-        b = RunConfig(problem="ring", scheme="ep-fds", tau=0.02, T=1.0)
-        with pytest.raises(ConfigError):
-            _validate_compare_pair(a, b)
 
 
 class TestCmdRun:
@@ -134,6 +129,25 @@ class TestCmdConverge:
         h_first, h_second = float(rows[1][0]), float(rows[2][0])
         assert h_first == pytest.approx(2 * h_second, rel=1e-12)
 
+    def test_failure_keeps_finished_levels(self, tmp_path, monkeypatch):
+        real_run = sinegordon.harness.run
+
+        def run_failing_on_third_level(problem, grid, *args, **kwargs):
+            if grid.n1 > 100:
+                raise NumericalError("forced")
+            return real_run(problem, grid, *args, **kwargs)
+
+        monkeypatch.setattr(sinegordon.harness, "run", run_failing_on_third_level)
+        cfg = RunConfig(problem="double-pole-1d", n1=50, tau=0.02, T=0.1,
+                        out_dir=str(tmp_path))
+        assert cmd_converge(cfg, levels=3) == 1
+        rows = read_csv(tmp_path / "convergence.csv")
+        assert len(rows) == 3  # header + the two finished levels
+        assert rows[1][3] == ""
+        assert 1.5 < float(rows[2][3]) < 2.5
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert meta["failure"] == "level 2: forced"
+
     def test_rejects_single_level(self, tmp_path):
         cfg = RunConfig(problem="double-pole-1d", n1=50, tau=0.02, T=0.1,
                         out_dir=str(tmp_path))
@@ -215,3 +229,30 @@ class TestMainCli:
         assert len(energy) == 2  # header + t=0 record
         meta = json.loads((tmp_path / "meta.json").read_text())
         assert "failure" in meta
+
+    def test_converge_failure_exits_1_and_flushes(self, tmp_path, capsys):
+        # ep-fds with fp_max=0 fails on the first level, so the table has no rows
+        rc = main(["converge", "--problem", "double-pole-1d", "--scheme", "ep-fds",
+                   "--n", "40", "--tau", "0.05", "--T", "0.5", "--levels", "2",
+                   "--fp-max", "0", "--out", str(tmp_path)])
+        assert rc == 1
+        rows = read_csv(tmp_path / "convergence.csv")
+        assert rows == [["h", "tau", "l2", "l2_order", "linf", "linf_order",
+                         "h1", "h1_order", "cpu_s"]]
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert meta["failure"].startswith("level 0: ")
+        assert "numerical failure: level 0: " in capsys.readouterr().err
+
+    def test_compare_failure_exits_1_and_flushes(self, tmp_path):
+        # li-leps takes no fixed-point sweeps and finishes; ep-fds fails at its
+        # first step, after recording t=0
+        rc = main(["compare", "--problem", "ring", "--n", "20", "--tau", "0.05",
+                   "--T", "0.5", "--fp-max", "0", "--out", str(tmp_path)])
+        assert rc == 1
+        assert len(read_csv(tmp_path / "energy_li-leps.csv")) == 1 + 11
+        assert len(read_csv(tmp_path / "energy_ep-fds.csv")) == 2
+        cpu = read_csv(tmp_path / "cpu.csv")
+        assert [r[0] for r in cpu[1:]] == ["li-leps"]
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert meta["failure"].startswith("ep-fds: ")
+        assert list(meta["solver"]) == ["li-leps"]

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sinegordon import (NonConvergenceError, SystemOperator, coupling,
-                        make_grid, make_grid_1d, pcg_solve)
+from sinegordon import (Boundary, NonConvergenceError, SystemOperator, coupling,
+                        get_problem, make_grid, make_grid_1d, pcg_solve)
 
 from oracles import dense_system_matrix
 
@@ -105,6 +105,47 @@ def test_residual_contract():
     assert res <= 1e-14 * max(1.0, g.l2(rhs))
     # the recurrence residual tracks the true one up to round-off drift
     assert report.final_residual == pytest.approx(res, rel=0.2, abs=1e-16)
+
+
+def test_dirichlet_solve_stays_on_interior_unknowns():
+    g = get_problem("line-kink-2d").grid(9, 7)
+    assert g.boundary is Boundary.DIRICHLET_EXACT
+    op = random_operator(g, 2.0, seed=15)
+    interior = g.interior_mask
+    rng = np.random.default_rng(16)
+    rhs = np.where(interior, rng.normal(size=g.shape), 0.0)
+    x0 = np.where(interior, rng.normal(size=g.shape), 0.0)
+    iterates = []
+    x, report = pcg_solve(op, rhs, x0=x0, callback=lambda it: iterates.append(it.copy()))
+    assert report.converged and len(iterates) >= 2
+    for it in iterates:
+        assert np.all(it[~interior] == 0.0)
+    assert np.all(x[~interior] == 0.0)
+    # the interior block of the operator, assembled column by column
+    unknowns = np.flatnonzero(interior)
+    A = np.empty((unknowns.size, unknowns.size))
+    for col, j in enumerate(unknowns):
+        e = np.zeros(g.num_nodes)
+        e[j] = 1.0
+        Ae = op.apply(e.reshape(g.shape))
+        assert np.all(Ae[~interior] == 0.0)
+        A[:, col] = Ae.ravel()[unknowns]
+    x_dense = np.linalg.solve(A, rhs.ravel()[unknowns])
+    np.testing.assert_allclose(x.ravel()[unknowns], x_dense, rtol=0, atol=1e-12)
+
+
+def test_apply_interior_ignores_the_pinned_ring():
+    g = get_problem("line-kink-2d").grid(9, 7)
+    op = random_operator(g, 2.0, seed=17)
+    interior = g.interior_mask
+    w = np.random.default_rng(18).normal(size=g.shape)
+    out = op.apply_interior(w)
+    assert np.all(out[~interior] == 0.0)
+    np.testing.assert_array_equal(out, op.apply(np.where(interior, w, 0.0)))
+    p = make_grid(0, 1, 0, 2, n1=6, n2=5)
+    op = random_operator(p, 0.4, seed=19)
+    w = np.random.default_rng(20).normal(size=p.shape)
+    np.testing.assert_array_equal(op.apply_interior(w), op.apply(w))
 
 
 def test_error_energy_norm_decreases_monotonically():

@@ -18,28 +18,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Boundary
-from .operators import (BoundaryValues, delta_x, delta_y, h1_norm,
-                        shift_x_minus, shift_y_minus, time_average)
+from .operators import (delta_x, delta_y, h1_norm, shift_x_minus, shift_y_minus,
+                        time_average)
 from .problems import Problem
 from .schemes import SchemeState
 
 
-def local_energy_density(state: SchemeState, bv: BoundaryValues | None = None) -> np.ndarray:
+def _kinetic_and_gradient_density(state: SchemeState) -> np.ndarray:
+    """``v^2/2 + (dx u)^2/2 + (dy u)^2/2`` per node, differences read ``state.bv``."""
+    g = state.grid
+    return (0.5 * state.v**2
+            + 0.5 * delta_x(g, state.u, state.bv) ** 2
+            + 0.5 * delta_y(g, state.u, state.bv) ** 2)
+
+
+def local_energy_density(state: SchemeState) -> np.ndarray:
     """Modified energy density ``v^2/2 + (dx u)^2/2 + (dy u)^2/2 + r^2`` per node."""
-    g = state.grid
-    return (0.5 * state.v**2
-            + 0.5 * delta_x(g, state.u, bv) ** 2
-            + 0.5 * delta_y(g, state.u, bv) ** 2
-            + state.r**2)
+    return _kinetic_and_gradient_density(state) + state.r**2
 
 
-def original_energy_density(state: SchemeState, bv: BoundaryValues | None = None) -> np.ndarray:
+def original_energy_density(state: SchemeState) -> np.ndarray:
     """Original density with ``1 - cos(u)`` in place of ``r^2``."""
-    g = state.grid
-    return (0.5 * state.v**2
-            + 0.5 * delta_x(g, state.u, bv) ** 2
-            + 0.5 * delta_y(g, state.u, bv) ** 2
-            + (1.0 - np.cos(state.u)))
+    return _kinetic_and_gradient_density(state) + (1.0 - np.cos(state.u))
 
 
 def _flux_divergence(state_n: SchemeState, state_np1: SchemeState) -> np.ndarray:
@@ -81,14 +81,14 @@ def original_law_residual(state_n: SchemeState, state_np1: SchemeState, tau: flo
     return ddens - _flux_divergence(state_n, state_np1)
 
 
-def global_energy_modified(state: SchemeState, bv: BoundaryValues | None = None) -> float:
+def global_energy_modified(state: SchemeState) -> float:
     """Total modified energy; conserved exactly by li-leps on periodic grids."""
-    return state.grid.cell_area * float(np.sum(local_energy_density(state, bv)))
+    return state.grid.cell_area * float(np.sum(local_energy_density(state)))
 
 
-def global_energy_original(state: SchemeState, bv: BoundaryValues | None = None) -> float:
+def global_energy_original(state: SchemeState) -> float:
     """Total original energy; conserved exactly by ep-fds on periodic grids."""
-    return state.grid.cell_area * float(np.sum(original_energy_density(state, bv)))
+    return state.grid.cell_area * float(np.sum(original_energy_density(state)))
 
 
 @dataclass(frozen=True)
@@ -100,22 +100,23 @@ class EnergyRecord:
 
 
 class EnergyRecorder:
-    """Collects energy records every ``every`` steps (step 0 included)."""
+    """Collects energy records every ``every`` steps (step 0 included).
 
-    def __init__(self, every: int = 1, bc=None):
+    Dirichlet-exact states carry their own edge values, which the energies read.
+    """
+
+    def __init__(self, every: int = 1):
         if every < 1:
             raise ValueError("cadence must be at least 1")
         self.every = every
-        self.bc = bc
         self.records: list[EnergyRecord] = []
         self._e0: float | None = None
 
     def __call__(self, step: int, state: SchemeState) -> None:
         if step % self.every:
             return
-        bv = self.bc.values(state.t) if self.bc is not None else None
-        e_mod = global_energy_modified(state, bv)
-        e_orig = global_energy_original(state, bv)
+        e_mod = global_energy_modified(state)
+        e_orig = global_energy_original(state)
         if self._e0 is None:
             self._e0 = e_mod
         dev = abs(e_mod - self._e0) / abs(self._e0) if self._e0 != 0 else abs(e_mod - self._e0)

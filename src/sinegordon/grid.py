@@ -108,28 +108,12 @@ class Grid:
         mask.setflags(write=False)
         return mask
 
-    def node_coords(self, j1: int, j2: int) -> tuple[float, float]:
-        """Coordinates of node ``(j1, j2)``, bit-identical to the ``x``/``y`` arrays."""
-        return (self.x_lo + j1 * self.h1, self.y_lo + j2 * self.h2)
-
     def check_field(self, U: np.ndarray, name: str = "field") -> np.ndarray:
         """Validate that ``U`` is a field on this grid; returns ``U``."""
         U = np.asarray(U)
         if U.shape != self.shape:
             raise ValueError(f"{name} has shape {U.shape}, expected {self.shape}")
         return U
-
-    def new_field(self, values=None) -> np.ndarray:
-        """Allocate a field, optionally filled from ``values`` (finiteness enforced)."""
-        if values is None:
-            return np.zeros(self.shape)
-        out = np.array(values, dtype=float)
-        if out.shape == (self.num_nodes,):
-            out = out.reshape(self.shape)
-        self.check_field(out)
-        if not np.all(np.isfinite(out)):
-            raise ValueError("field values must be finite")
-        return out
 
     # Reductions use np.sum (pairwise, deterministic order) so conservation
     # residuals are reproducible run to run.

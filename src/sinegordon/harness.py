@@ -24,9 +24,9 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import EnergyRecorder, error_vs_exact, convergence_orders
-from .grid import Boundary, Grid
+from .grid import Grid
 from .linear_solver import NumericalError
-from .problems import PROBLEMS, DirichletBoundary, Problem, get_problem, mirror_field
+from .problems import PROBLEMS, Problem, get_problem, mirror_field
 from .schemes import SCHEMES, TimeGrid, run
 
 
@@ -145,8 +145,7 @@ def cmd_run(cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    bc = DirichletBoundary(problem, grid) if grid.boundary is Boundary.DIRICHLET_EXACT else None
-    energy = EnergyRecorder(every=cfg.record_every, bc=bc)
+    energy = EnergyRecorder(every=cfg.record_every)
     snaps = _SnapshotRecorder(snap_steps)
 
     failure = None
@@ -237,12 +236,11 @@ def cmd_compare(cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    bc = DirichletBoundary(problem, grid) if grid.boundary is Boundary.DIRICHLET_EXACT else None
     cpu_rows = []
     solver_stats = {}
     failure = None
     for scheme in SCHEMES:
-        energy = EnergyRecorder(every=cfg.record_every, bc=bc)
+        energy = EnergyRecorder(every=cfg.record_every)
         try:
             result = run(problem, grid, time_grid, scheme=scheme, recorders=(energy,),
                          cg_tol=cfg.cg_tol, fp_tol=cfg.fp_tol, fp_max=cfg.fp_max)

@@ -15,6 +15,7 @@ low-edge ring, and the solve keeps them zero there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,6 +86,11 @@ class SystemOperator:
             diag = diag + 0.5 * t2 / self.grid.h2**2
         return diag
 
+    @cached_property
+    def _jacobi(self) -> np.ndarray:
+        """:meth:`diagonal`, computed once per operator for every solve on it."""
+        return self.diagonal()
+
 
 def default_max_iter(grid: Grid) -> int:
     """10 * sqrt(node count), bounding pathological solves."""
@@ -117,7 +123,7 @@ def pcg_solve(
         raise ValueError("tol must be positive")
     if max_iter is None:
         max_iter = default_max_iter(grid)
-    diag = op.diagonal()
+    diag = op._jacobi
 
     def norm(w):
         return float(np.sqrt(grid.cell_area * np.sum(w * w)))

@@ -103,13 +103,13 @@ def laplacian(grid: Grid, U: np.ndarray, bv: BoundaryValues | None = None) -> np
     return out
 
 
-def h1_norm(grid: Grid, U: np.ndarray, bv: BoundaryValues | None = None) -> float:
-    """Discrete H1 norm ``sqrt(l2(U)^2 + l2(dx U)^2 + l2(dy U)^2)``."""
+def h1_norm(grid: Grid, U: np.ndarray) -> float:
+    """Discrete H1 norm ``sqrt(l2(U)^2 + l2(dx U)^2 + l2(dy U)^2)``; zero edge data."""
     return float(
         np.sqrt(
             grid.l2(U) ** 2
-            + grid.l2(delta_x(grid, U, bv)) ** 2
-            + grid.l2(delta_y(grid, U, bv)) ** 2
+            + grid.l2(delta_x(grid, U)) ** 2
+            + grid.l2(delta_y(grid, U)) ** 2
         )
     )
 

@@ -29,17 +29,19 @@ import numpy as np
 from .grid import Boundary, Grid
 from .linear_solver import (NumericalError, SolveReport, SystemOperator,
                             pcg_solve)
-from .operators import coupling, extrapolate_half_step, laplacian
+from .operators import BoundaryValues, coupling, extrapolate_half_step, laplacian
 from .problems import DirichletBoundary, Problem
 
 
 @dataclass(frozen=True)
 class SchemeState:
-    """One time level: field ``u``, velocity ``v``, auxiliary ``r``.
+    """One time level: field ``u``, velocity ``v``, auxiliary ``r``, edge data ``bv``.
 
     ``u_prev`` is the previous level, absent only before the first step; the
     regular step needs it for the half-step extrapolation.  ``r`` equals
     ``sqrt(2 - cos u)`` at t = 0 and is evolved, not recomputed, afterwards.
+    ``bv`` holds the edge values at ``t`` on Dirichlet-exact grids (None on
+    periodic ones), evaluated once per level for its energy and next step.
     """
 
     grid: Grid
@@ -48,6 +50,7 @@ class SchemeState:
     v: np.ndarray
     r: np.ndarray
     u_prev: np.ndarray | None = None
+    bv: BoundaryValues | None = None
 
     def __post_init__(self):
         for name in ("u", "v", "r"):
@@ -57,6 +60,9 @@ class SchemeState:
                 raise NumericalError(f"non-finite values in {name} at t={self.t}")
         if self.u_prev is not None:
             self.grid.check_field(self.u_prev, "u_prev")
+        if (self.bv is None) == (self.grid.boundary is Boundary.DIRICHLET_EXACT):
+            raise ValueError("a Dirichlet-exact state must carry its edge values bv, "
+                             "a periodic state none")
 
 
 @dataclass(frozen=True)
@@ -96,31 +102,38 @@ def init_state(problem: Problem, grid: Grid) -> SchemeState:
         if not np.all(np.isfinite(arr)):
             raise NumericalError(f"sampling initial {name} produced non-finite values")
     r = np.sqrt(2.0 - np.cos(u))
-    return SchemeState(grid, 0.0, u, v, r)
+    dirichlet = grid.boundary is Boundary.DIRICHLET_EXACT
+    bv = DirichletBoundary(problem, grid).values(0.0) if dirichlet else None
+    return SchemeState(grid, 0.0, u, v, r, bv=bv)
 
 
 def _lift(
     state: SchemeState, tau: float, bc: DirichletBoundary | None, rhs: np.ndarray
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray | None, BoundaryValues | None, np.ndarray, np.ndarray]:
     """Dirichlet lifting of the step solve from ``state``.
 
     On Dirichlet-exact grids the new level is ``known + w``: ``known`` holds
     the exact values on the pinned low-edge ring and zeros inside, and ``w``
-    solves the step system on the interior unknowns.  Returns ``known``,
-    ``rhs`` plus the edge contribution ``(tau^2/4) Lap(known)``, and the
-    initial guess ``state.u``, the last two zeroed on the ring as
-    :func:`pcg_solve` requires.  Periodic grids (``bc`` None) get
-    ``(None, rhs, state.u)`` back untouched.
+    solves the step system on the interior unknowns.  Returns ``known``, the
+    new level's edge values ``bv`` (their one evaluation), ``rhs`` plus the
+    edge contribution ``(tau^2/4) Lap(known)``, and the initial guess
+    ``state.u``, the last two zeroed on the ring as :func:`pcg_solve`
+    requires.  Periodic grids (``bc`` None) get ``(None, None, rhs,
+    state.u)`` back untouched.  ``bc`` must be given exactly when ``state``
+    carries edge values.
     """
+    if (bc is None) != (state.bv is None):
+        raise ValueError("a Dirichlet-exact state steps with a bc, a periodic one without")
     if bc is None:
-        return None, rhs, state.u
+        return None, None, rhs, state.u
     grid = state.grid
     t_new = state.t + tau
     t2 = tau * tau
     known = bc.pin(np.zeros(grid.shape), t_new)
-    rhs = rhs + 0.25 * t2 * laplacian(grid, known, bc.values(t_new))
+    bv = bc.values(t_new)
+    rhs = rhs + 0.25 * t2 * laplacian(grid, known, bv)
     interior = grid.interior_mask
-    return known, np.where(interior, rhs, 0.0), np.where(interior, state.u, 0.0)
+    return known, bv, np.where(interior, rhs, 0.0), np.where(interior, state.u, 0.0)
 
 
 def _li_advance(
@@ -140,10 +153,9 @@ def _li_advance(
     t_new = state.t + tau
     t2 = tau * tau
 
-    bv_now = bc.values(state.t) if bc is not None else None
-    rhs = (u + tau * v + 0.25 * t2 * laplacian(grid, u, bv_now)
+    rhs = (u + tau * v + 0.25 * t2 * laplacian(grid, u, state.bv)
            + 0.125 * t2 * (d * d) * u - 0.5 * t2 * d * r)
-    known, rhs, x0 = _lift(state, tau, bc, rhs)
+    known, bv, rhs, x0 = _lift(state, tau, bc, rhs)
     w, report = pcg_solve(SystemOperator(grid, tau, d), rhs, tol=cg_tol,
                           max_iter=cg_max_iter, x0=x0)
     if report_sink is not None:
@@ -152,7 +164,7 @@ def _li_advance(
 
     v_new = 2.0 * (u_new - u) / tau - v
     r_new = r + 0.5 * d * (u_new - u)
-    return SchemeState(grid, t_new, u_new, v_new, r_new, u_prev=u)
+    return SchemeState(grid, t_new, u_new, v_new, r_new, u_prev=u, bv=bv)
 
 
 def li_leps_step(
@@ -229,9 +241,8 @@ def ep_fds_step(
     t2 = tau * tau
     op = SystemOperator(grid, tau, np.zeros(grid.shape))
 
-    bv_now = bc.values(state.t) if bc is not None else None
-    base = u + tau * v + 0.25 * t2 * laplacian(grid, u, bv_now)
-    known, base, u0 = _lift(state, tau, bc, base)
+    base = u + tau * v + 0.25 * t2 * laplacian(grid, u, state.bv)
+    known, bv, base, u0 = _lift(state, tau, bc, base)
 
     # The sweeps run on the solve's unknowns: the quotient of two fields that
     # are zero on the pinned ring is zero there too, so every right-hand side
@@ -262,7 +273,7 @@ def ep_fds_step(
     u_new = w if known is None else known + w
     v_new = 2.0 * (u_new - u) / tau - v
     r_new = np.sqrt(2.0 - np.cos(u_new))
-    return SchemeState(grid, t_new, u_new, v_new, r_new, u_prev=u)
+    return SchemeState(grid, t_new, u_new, v_new, r_new, u_prev=u, bv=bv)
 
 
 SCHEMES = ("li-leps", "ep-fds")
@@ -299,10 +310,7 @@ def run(
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    bc = None
-    if grid.boundary is Boundary.DIRICHLET_EXACT:
-        bc = DirichletBoundary(problem, grid)
-
+    bc = DirichletBoundary(problem, grid) if grid.boundary is Boundary.DIRICHLET_EXACT else None
     state = init_state(problem, grid)
     for rec in recorders:
         rec(0, state)

@@ -39,14 +39,6 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid_1d(0, 1, 8, boundary=Boundary.DIRICHLET_EXACT)
 
-    def test_coordinates_reproducible_from_index(self):
-        g = make_grid(-7, 7, -7, 7, n1=13, n2=9)
-        for j1 in (0, 1, 7, 12):
-            for j2 in (0, 3, 8):
-                x, y = g.node_coords(j1, j2)
-                assert x == g.x[j1]
-                assert y == g.y[j2]
-
     def test_interior_mask(self):
         gp = make_grid(0, 1, 0, 1, n1=4, n2=4)
         assert gp.interior_mask.all()
@@ -122,20 +114,3 @@ class TestNormsAndInner:
         with pytest.raises(ValueError):
             g.inner(np.zeros(g.shape), bad)
 
-
-class TestFieldValidation:
-    def test_new_field_rejects_non_finite(self):
-        g = make_grid(0, 1, 0, 1, n1=4, n2=4)
-        vals = np.zeros(g.shape)
-        vals[1, 1] = np.nan
-        with pytest.raises(ValueError):
-            g.new_field(vals)
-        vals[1, 1] = np.inf
-        with pytest.raises(ValueError):
-            g.new_field(vals)
-
-    def test_new_field_accepts_flat(self):
-        g = make_grid(0, 1, 0, 1, n1=3, n2=2)
-        out = g.new_field(np.arange(6.0))
-        assert out.shape == g.shape
-        assert out[1, 0] == 3.0

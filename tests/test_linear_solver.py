@@ -66,6 +66,19 @@ def test_diagonal_matches_dense():
     np.testing.assert_allclose(op.diagonal().ravel(), np.diag(A), rtol=1e-13)
 
 
+def test_diagonal_computed_once_per_operator(monkeypatch):
+    g = make_grid(0, 1, 0, 1, n1=8, n2=8)
+    op = random_operator(g, 0.1, seed=3)
+    calls = []
+    diagonal = SystemOperator.diagonal
+    monkeypatch.setattr(SystemOperator, "diagonal",
+                        lambda self: calls.append(self) or diagonal(self))
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        pcg_solve(op, rng.normal(size=g.shape))
+    assert len(calls) == 1
+
+
 def test_manufactured_solution_recovered():
     g = make_grid(0, 1, 0, 1, n1=16, n2=16)
     op = random_operator(g, 0.05, seed=4)

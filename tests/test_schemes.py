@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from sinegordon import (NumericalError, Problem, SchemeState, TimeGrid,
-                        Boundary, coupling, ep_fds_step, error_vs_exact,
-                        get_problem, global_energy_original, init_state,
-                        li_leps_first_step, li_leps_step, make_grid,
-                        make_grid_1d, run)
+from sinegordon import (SCHEMES, BoundaryValues, DirichletBoundary, NumericalError,
+                        Problem, SchemeState, TimeGrid, Boundary, coupling,
+                        ep_fds_step, error_vs_exact, get_problem,
+                        global_energy_original, init_state, li_leps_first_step,
+                        li_leps_step, make_grid, make_grid_1d, run)
 from sinegordon.operators import extrapolate_half_step
 
 from oracles import coupled_step_dense
@@ -270,3 +270,47 @@ class TestRun:
         p = get_problem("double-pole-1d")
         with pytest.raises(ValueError):
             run(p, p.grid(50), TimeGrid(0.01, 1), scheme="leapfrog")
+
+
+class TestDirichletEdgeData:
+    """Dirichlet-exact states carry the edge values of their own time level."""
+
+    def test_each_level_evaluates_its_edge_values_once(self, monkeypatch):
+        p = get_problem("line-kink-2d")
+        g = p.grid(9, 7)
+        values = DirichletBoundary.values
+        calls = []
+        monkeypatch.setattr(DirichletBoundary, "values",
+                            lambda self, t: calls.append(t) or values(self, t))
+        exact = DirichletBoundary(p, g)
+
+        def check(k, state):
+            expected = values(exact, state.t)
+            assert np.array_equal(state.bv.right, expected.right)
+            assert np.array_equal(state.bv.top, expected.top)
+
+        for scheme in SCHEMES:
+            calls.clear()
+            run(p, g, TimeGrid(0.1, 5), scheme=scheme, recorders=(check,))
+            assert len(calls) == 5 + 1
+
+    def test_state_requires_edge_values_exactly_on_dirichlet_grids(self):
+        p = get_problem("line-kink-2d")
+        g = p.grid(9, 7)
+        zeros = np.zeros(g.shape)
+        with pytest.raises(ValueError):
+            SchemeState(g, 0.0, zeros, zeros, np.ones(g.shape))
+        periodic = make_grid(0, 1, 0, 1, n1=9, n2=7)
+        with pytest.raises(ValueError):
+            SchemeState(periodic, 0.0, zeros, zeros, np.ones(g.shape),
+                        bv=BoundaryValues.zeros(periodic))
+
+    @pytest.mark.parametrize("step", [li_leps_first_step, ep_fds_step])
+    def test_steppers_reject_mismatched_bc(self, step):
+        p = get_problem("line-kink-2d")
+        g = p.grid(9, 7)
+        with pytest.raises(ValueError):
+            step(init_state(p, g), 0.1)
+        ring = get_problem("ring")
+        with pytest.raises(ValueError):
+            step(init_state(ring, ring.grid(9, 7)), 0.1, bc=DirichletBoundary(p, g))

@@ -104,12 +104,18 @@ def write_energy_csv(path: Path, records) -> None:
 
 
 def write_field_csv(path: Path, grid, values: np.ndarray) -> None:
-    X, Y = grid.meshgrid
+    """One ``x,y,value`` row per node, j2 outermost, in the ``csv`` module's dialect.
+
+    Rows are formatted by ``repr`` (as :func:`_fmt` does) one grid row at a
+    time, which keeps the Python objects to one row of the field.
+    """
+    values = grid.check_field(np.asarray(values, dtype=float), "values")
+    xs = [repr(x) for x in grid.x.tolist()]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "y", "value"])
-        for xv, yv, vv in zip(X.ravel(), Y.ravel(), np.asarray(values).ravel()):
-            w.writerow([_fmt(xv), _fmt(yv), _fmt(vv)])
+        fh.write("x,y,value\r\n")
+        for y, row in zip(grid.y.tolist(), values):
+            y = repr(y)
+            fh.writelines(f"{x},{y},{v!r}\r\n" for x, v in zip(xs, row.tolist()))
 
 
 def _write_meta(out: Path, command: str, config: dict, extra: dict,

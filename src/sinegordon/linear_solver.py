@@ -59,11 +59,19 @@ class SystemOperator:
         if self.tau < 0:
             raise ValueError("tau must be nonnegative")
 
-    def apply(self, w: np.ndarray) -> np.ndarray:
-        """Full-field application ``w - (tau^2/4)*Lap(w) + (tau^2/8)*d^2*w``."""
+    def apply(self, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Full-field application ``coef*w - (tau^2/4)*Lap(w)``, ``coef = 1 + (tau^2/8)*d^2``.
+
+        The Laplacian is written into ``out`` (a float field on the grid that
+        does not overlap ``w``), which is then updated in place and returned;
+        without ``out`` a new field is returned.  ``coef*w`` is the one
+        temporary field.
+        """
         self.grid.check_field(w, "w")
-        t2 = self.tau * self.tau
-        return w - 0.25 * t2 * laplacian(self.grid, w) + 0.125 * t2 * (self.d * self.d) * w
+        out = laplacian(self.grid, w, out=out)
+        out *= -0.25 * self.tau * self.tau
+        out += self._coef * w
+        return out
 
     def apply_interior(self, w: np.ndarray) -> np.ndarray:
         """``apply`` to the interior unknowns of ``w``, reading its pinned ring as zero.
@@ -80,11 +88,16 @@ class SystemOperator:
         wrap onto the node itself.
         """
         t2 = self.tau * self.tau
-        diag = 1.0 + 0.125 * t2 * self.d * self.d
-        diag = diag + 0.5 * t2 / self.grid.h1**2
+        diag = self._coef + 0.5 * t2 / self.grid.h1**2
         if self.grid.n2 > 1:
             diag = diag + 0.5 * t2 / self.grid.h2**2
         return diag
+
+    @cached_property
+    def _coef(self) -> np.ndarray:
+        """The identity-plus-coupling part ``1 + (tau^2/8)*d^2``, once per operator."""
+        t2 = self.tau * self.tau
+        return 1.0 + 0.125 * t2 * (self.d * self.d)
 
     @cached_property
     def _jacobi(self) -> np.ndarray:
@@ -109,8 +122,15 @@ def pcg_solve(
 
     Stops when ``l2(rhs - A x) <= tol * max(1, l2(rhs))`` and raises
     :class:`NonConvergenceError` after ``max_iter`` iterations (default
-    :func:`default_max_iter`).  ``callback`` receives the iterate after each
-    update, for convergence-history tests.
+    :func:`default_max_iter`).  ``callback`` receives the live iterate after
+    each update, for convergence-history tests; the solve keeps updating that
+    array in place, so copy it to keep it.
+
+    The work fields (residual, preconditioned residual, search direction, its
+    image under ``op`` and one product buffer for the inner products) are
+    allocated once per solve and updated in place.  Inner products are
+    ``np.sum`` over the product buffer, whose fixed pairwise order keeps
+    repeated runs bit-identical.
 
     On Dirichlet-exact grids ``rhs`` and ``x0`` must be zero on the pinned
     low-edge ring; the caller moves the known boundary contributions into
@@ -124,30 +144,36 @@ def pcg_solve(
     if max_iter is None:
         max_iter = default_max_iter(grid)
     diag = op._jacobi
+    prod = np.empty(grid.shape)
+
+    def inner(a, b):
+        np.multiply(a, b, out=prod)
+        return grid.cell_area * np.sum(prod)
 
     def norm(w):
-        return float(np.sqrt(grid.cell_area * np.sum(w * w)))
+        return float(np.sqrt(inner(w, w)))
 
     target = tol * max(1.0, norm(rhs))
     if x0 is None:
-        x = np.zeros_like(rhs)
-        r = rhs.copy()
+        x = np.zeros(grid.shape)
+        r = np.array(rhs, dtype=float)
     else:
         x = np.array(x0, dtype=float)
-        r = rhs - op.apply(x)
+        r = op.apply(x)
+        np.subtract(rhs, r, out=r)
     res = norm(r)
     if res <= target:
         return x, SolveReport(0, res, True)
 
     z = r / diag
     p = z.copy()
-    rz = grid.cell_area * np.sum(r * z)
+    Ap = np.empty(grid.shape)
+    rz = inner(r, z)
     for k in range(1, max_iter + 1):
-        Ap = op.apply(p)
-        pAp = grid.cell_area * np.sum(p * Ap)
-        alpha = rz / pAp
-        x = x + alpha * p
-        r = r - alpha * Ap
+        op.apply(p, out=Ap)
+        alpha = rz / inner(p, Ap)
+        x += np.multiply(p, alpha, out=prod)
+        r -= np.multiply(Ap, alpha, out=prod)
         res = norm(r)
         if callback is not None:
             callback(x)
@@ -155,9 +181,10 @@ def pcg_solve(
             raise NonConvergenceError(f"non-finite residual at iteration {k}")
         if res <= target:
             return x, SolveReport(k, res, True)
-        z = r / diag
-        rz_new = grid.cell_area * np.sum(r * z)
-        p = z + (rz_new / rz) * p
+        np.divide(r, diag, out=z)
+        rz_new = inner(r, z)
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     raise NonConvergenceError(
         f"CG did not reach {target:.3e} within {max_iter} iterations (residual {res:.3e})"

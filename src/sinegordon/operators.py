@@ -87,17 +87,58 @@ def delta_y(grid: Grid, U: np.ndarray, bv: BoundaryValues | None = None) -> np.n
     return (shift_y_plus(grid, U, bv) - U) / grid.h2
 
 
-def laplacian(grid: Grid, U: np.ndarray, bv: BoundaryValues | None = None) -> np.ndarray:
-    """5-point Laplacian (3-point in 1D).
+def laplacian(
+    grid: Grid, U: np.ndarray, bv: BoundaryValues | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """5-point Laplacian (3-point in 1D), written into ``out`` when given.
 
-    In 1D mode the y-term cancels exactly because both y-neighbors wrap to the
-    node itself.  On Dirichlet-exact grids the pinned low-edge ring of the
-    output is zeroed: the steppers never evaluate the equation there.
+    ``out`` (a float field on ``grid`` that does not overlap ``U``) receives
+    the result and is returned; otherwise a new field is.  Slice views do all
+    the work, so no temporary field is allocated.  Each axis stores or adds
+    its neighbor sum and then subtracts ``U`` twice, which maps constants to
+    exactly zero; in 2D the x-part is scaled by ``h2^2/h1^2`` before the
+    y-part joins it and the sum is divided by ``h2^2``.
+
+    In 1D mode the y-term is skipped: both y-neighbors are the node itself.
+    On Dirichlet-exact grids the high-edge neighbors are read from ``bv``
+    (zeros when None) and the pinned low-edge ring of the output is zeroed:
+    the steppers never evaluate the equation there.
     """
-    grid.check_field(U)
-    out = (shift_x_plus(grid, U, bv) - 2.0 * U + shift_x_minus(grid, U)) / grid.h1**2
-    out += (shift_y_plus(grid, U, bv) - 2.0 * U + shift_y_minus(grid, U)) / grid.h2**2
-    if grid.boundary is Boundary.DIRICHLET_EXACT:
+    U = grid.check_field(U)
+    if out is None:
+        out = np.empty(grid.shape)
+    else:
+        grid.check_field(out, "out")
+        if np.may_share_memory(out, U):
+            raise ValueError("out must not overlap U")
+    periodic = grid.boundary is Boundary.PERIODIC
+    if not periodic:
+        bv = _bv(grid, bv)
+
+    np.add(U[:, 2:], U[:, :-2], out=out[:, 1:-1])
+    np.add(U[:, 0] if periodic else bv.right, U[:, -2], out=out[:, -1])
+    if periodic:
+        np.add(U[:, 1], U[:, -1], out=out[:, 0])
+    else:
+        out[:, 0] = U[:, 1]  # the pinned ring: its low neighbor reads as zero
+    out -= U
+    out -= U
+    if grid.is_1d:
+        out /= grid.h1**2
+        return out
+
+    out *= grid.h2**2 / grid.h1**2
+    out[1:-1] += U[2:]
+    out[1:-1] += U[:-2]
+    out[-1] += U[0] if periodic else bv.top
+    out[-1] += U[-2]
+    out[0] += U[1]
+    if periodic:
+        out[0] += U[-1]
+    out -= U
+    out -= U
+    out /= grid.h2**2
+    if not periodic:
         out[0, :] = 0.0
         out[:, 0] = 0.0
     return out

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -212,6 +213,12 @@ def _cos_quotient(u_new: np.ndarray, u_old: np.ndarray) -> np.ndarray:
     return np.sin(0.5 * (u_new + u_old)) * ratio
 
 
+@lru_cache(maxsize=1)
+def _constant_operator(grid: Grid, tau: float) -> SystemOperator:
+    """The ep-fds system ``I - (tau^2/4) Lap``, shared by every step of a run."""
+    return SystemOperator(grid, tau, np.zeros(grid.shape))
+
+
 def ep_fds_step(
     state: SchemeState,
     tau: float,
@@ -239,7 +246,7 @@ def ep_fds_step(
     u, v = state.u, state.v
     t_new = state.t + tau
     t2 = tau * tau
-    op = SystemOperator(grid, tau, np.zeros(grid.shape))
+    op = _constant_operator(grid, tau)
 
     base = u + tau * v + 0.25 * t2 * laplacian(grid, u, state.bv)
     known, bv, base, u0 = _lift(state, tau, bc, base)

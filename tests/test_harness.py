@@ -93,6 +93,25 @@ class TestCmdRun:
         assert (out_a / "energy.csv").read_bytes() == (out_b / "energy.csv").read_bytes()
         assert (out_a / "field_t0.1.csv").read_bytes() == (out_b / "field_t0.1.csv").read_bytes()
 
+    def test_field_csv_matches_csv_writer(self, tmp_path):
+        from sinegordon import make_grid
+        from sinegordon.harness import write_field_csv
+        g = make_grid(-1.5, 2.0, 0.0, 0.7, n1=5, n2=3)
+        # a reversed view, as the mirror option emits
+        values = (np.random.default_rng(0).normal(size=g.shape) * 1e5)[::-1, ::-1]
+        values.flat[:6] = [-0.0, 0.0, 1e-300, 1e300, -5e-324, 1.0 / 3.0]
+        write_field_csv(tmp_path / "field.csv", g, values)
+        with open(tmp_path / "reference.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["x", "y", "value"])
+            X, Y = g.meshgrid
+            for xv, yv, vv in zip(X.ravel(), Y.ravel(), values.ravel()):
+                w.writerow([repr(float(xv)), repr(float(yv)), repr(float(vv))])
+        expected = (tmp_path / "reference.csv").read_bytes()
+        assert (tmp_path / "field.csv").read_bytes() == expected
+        assert expected.count(b"\r\n") == g.num_nodes + 1
+        assert b",-0.0\r\n" in expected and b",1e-300\r\n" in expected
+
     def test_transform_and_mirror(self, tmp_path):
         base = RunConfig(problem="collide4", n1=20, tau=0.02, T=0.0,
                          out_dir=str(tmp_path / "plain"))

@@ -28,6 +28,16 @@ def test_spike_stencil_arithmetic():
     np.testing.assert_array_equal(op.apply(w), [[3.0, -1.0, 0.0, -1.0]])
 
 
+def test_apply_writes_into_out():
+    for g in (make_grid(0, 1, 0, 2, n1=6, n2=5), make_grid_1d(0, 3, 7),
+              get_problem("line-kink-2d").grid(9, 7)):
+        op = random_operator(g, 0.7, seed=21)
+        w = np.random.default_rng(22).normal(size=g.shape)
+        buf = np.full(g.shape, np.nan)
+        assert op.apply(w, out=buf) is buf
+        np.testing.assert_array_equal(buf, op.apply(w))
+
+
 def test_apply_symmetric_positive_definite_small():
     g = make_grid(0, 1, 0, 1, n1=8, n2=8)
     op = random_operator(g, 0.05, seed=2)
@@ -77,6 +87,20 @@ def test_diagonal_computed_once_per_operator(monkeypatch):
     for _ in range(3):
         pcg_solve(op, rng.normal(size=g.shape))
     assert len(calls) == 1
+
+
+def test_callback_sees_one_iterate_updated_in_place():
+    g = make_grid(0, 1, 0, 1, n1=10, n2=10)
+    op = random_operator(g, 0.3, seed=23)
+    rhs = np.random.default_rng(24).normal(size=g.shape)
+    x0 = np.zeros(g.shape)
+    seen = []
+    x, report = pcg_solve(op, rhs, x0=x0,
+                          callback=lambda it: seen.append((it.ctypes.data, it.copy())))
+    assert report.iterations >= 2 and len(seen) == report.iterations
+    assert {ptr for ptr, _ in seen} == {x.ctypes.data}
+    assert not np.array_equal(seen[0][1], seen[-1][1])
+    assert np.all(x0 == 0.0)
 
 
 def test_manufactured_solution_recovered():

@@ -6,7 +6,7 @@ from sinegordon import (coupling, coupling_prime, coupling_second, delta_x,
                         make_grid_1d, time_average)
 from sinegordon.operators import shift_x_plus, shift_y_plus
 
-from oracles import centered_derivative
+from oracles import centered_derivative, dense_laplacian_periodic
 
 
 def test_delta_x_constant_field():
@@ -38,6 +38,57 @@ def test_laplacian_constant():
     g = make_grid(0, 2, 0, 2, n1=6, n2=6)
     U = np.full(g.shape, -1.5)
     assert np.max(np.abs(laplacian(g, U))) == 0.0
+
+
+STENCIL_GRIDS = [
+    make_grid(0, 2, 0, 3, n1=9, n2=7),
+    make_grid(0, 1, 0, 1, n1=2, n2=2),
+    make_grid(0, 1, 0, 2, n1=2, n2=5),
+    make_grid_1d(0, 4, 16),
+]
+
+
+@pytest.mark.parametrize("g", STENCIL_GRIDS, ids=lambda g: f"{g.n1}x{g.n2}")
+def test_laplacian_matches_dense_oracle(g):
+    U = np.random.default_rng(g.num_nodes).normal(size=g.shape)
+    expected = (dense_laplacian_periodic(g) @ U.ravel()).reshape(g.shape)
+    got = laplacian(g, U)
+    assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("g", STENCIL_GRIDS, ids=lambda g: f"{g.n1}x{g.n2}")
+def test_laplacian_maps_constants_to_exact_zero(g):
+    assert np.all(laplacian(g, np.full(g.shape, 0.3)) == 0.0)
+
+
+def test_laplacian_dirichlet_constant_edge_data_gives_exact_zero():
+    from sinegordon import Boundary, BoundaryValues
+    g = make_grid(0, 2, 0, 3, n1=9, n2=7, boundary=Boundary.DIRICHLET_EXACT)
+    c = -0.7
+    bv = BoundaryValues(right=np.full(g.n2, c), top=np.full(g.n1, c))
+    assert np.all(laplacian(g, np.full(g.shape, c), bv) == 0.0)
+
+
+def test_laplacian_writes_into_out():
+    from sinegordon import Boundary, BoundaryValues
+    rng = np.random.default_rng(7)
+    dirichlet = make_grid(0, 2, 0, 3, n1=9, n2=7, boundary=Boundary.DIRICHLET_EXACT)
+    cases = [(g, None) for g in STENCIL_GRIDS]
+    cases.append((dirichlet, BoundaryValues(rng.normal(size=7), rng.normal(size=9))))
+    for g, bv in cases:
+        U = rng.normal(size=g.shape)
+        buf = np.full(g.shape, np.nan)
+        assert laplacian(g, U, bv, out=buf) is buf
+        np.testing.assert_array_equal(buf, laplacian(g, U, bv))
+
+
+def test_laplacian_rejects_bad_out():
+    g = make_grid(0, 2, 0, 3, n1=9, n2=7)
+    U = np.zeros(g.shape)
+    with pytest.raises(ValueError):
+        laplacian(g, U, out=np.empty((3, 3)))
+    with pytest.raises(ValueError):
+        laplacian(g, U, out=U)
 
 
 def test_laplacian_spike_readout():

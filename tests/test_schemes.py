@@ -223,6 +223,19 @@ class TestEpFdsStep:
         with pytest.raises(NumericalError):
             ep_fds_step(st, 0.01, fp_max=0)
 
+    def test_one_operator_per_run(self, monkeypatch):
+        from sinegordon import schemes
+        from sinegordon.linear_solver import SystemOperator
+        calls = []
+        diagonal = SystemOperator.diagonal
+        monkeypatch.setattr(SystemOperator, "diagonal",
+                            lambda self: calls.append(self) or diagonal(self))
+        schemes._constant_operator.cache_clear()
+        p = get_problem("ring")
+        result = run(p, p.grid(40), TimeGrid(0.05, 100), scheme="ep-fds")
+        assert result.fp_sweeps > 100
+        assert len(calls) == 1
+
 
 class TestRun:
     def test_zero_steps_returns_initial_state(self):

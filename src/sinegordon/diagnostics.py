@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Boundary
-from .operators import (delta_x, delta_y, h1_norm, shift_x_minus, shift_y_minus,
-                        time_average)
+from .operators import delta_x, delta_y, h1_norm, time_average
 from .problems import Problem
 from .schemes import SchemeState
 
@@ -46,15 +45,16 @@ def _flux_divergence(state_n: SchemeState, state_np1: SchemeState) -> np.ndarray
     """Discrete divergence of the energy flux between two consecutive levels.
 
     The flux product takes the time-averaged forward difference one node
-    upwind of the time-averaged velocity, which is exactly the pattern the
-    per-node balance requires.
+    upwind of the time-averaged velocity (wrapping, as the balance is checked
+    on periodic grids only), which is exactly the pattern the per-node
+    balance requires.
     """
     g = state_n.grid
     atv = time_average(state_np1.v, state_n.v)
     atdx = time_average(delta_x(g, state_np1.u), delta_x(g, state_n.u))
     atdy = time_average(delta_y(g, state_np1.u), delta_y(g, state_n.u))
-    px = shift_x_minus(g, atdx) * atv
-    py = shift_y_minus(g, atdy) * atv
+    px = np.roll(atdx, 1, axis=1) * atv
+    py = np.roll(atdy, 1, axis=0) * atv
     return delta_x(g, px) + delta_y(g, py)
 
 

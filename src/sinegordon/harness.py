@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -59,10 +60,16 @@ class RunConfig:
                               f"available: {sorted(PROBLEMS)}")
         if self.record_every < 1:
             raise ConfigError("record cadence must be at least 1")
-        if self.tau <= 0:
-            raise ConfigError("tau must be positive")
+        for name in ("tau", "T", "cg_tol", "fp_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
+        for name in ("tau", "cg_tol", "fp_tol"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
         if self.T < 0:
             raise ConfigError("T must be nonnegative")
+        if self.fp_max < 0:
+            raise ConfigError("fp_max must be nonnegative")
 
 
 def _fmt(x: float) -> str:
@@ -282,9 +289,12 @@ def _parse_n(text: str) -> tuple[int, int | None]:
 
 def _parse_snaps(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
+        times = tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
+        if all(map(math.isfinite, times)):
+            return times
     except ValueError:
-        raise ConfigError(f"--snap expects comma-separated times; got {text!r}") from None
+        pass
+    raise ConfigError(f"--snap expects comma-separated finite times; got {text!r}")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

@@ -47,31 +47,12 @@ def shift_x_plus(grid: Grid, U: np.ndarray, bv: BoundaryValues | None = None) ->
     return out
 
 
-def shift_x_minus(grid: Grid, U: np.ndarray) -> np.ndarray:
-    """Neighbor field ``U[j1-1, j2]``; column ``j1 = 0`` is zero-filled on Dirichlet grids."""
-    if grid.boundary is Boundary.PERIODIC:
-        return np.roll(U, 1, axis=1)
-    out = np.empty_like(U)
-    out[:, 1:] = U[:, :-1]
-    out[:, 0] = 0.0
-    return out
-
-
 def shift_y_plus(grid: Grid, U: np.ndarray, bv: BoundaryValues | None = None) -> np.ndarray:
     if grid.boundary is Boundary.PERIODIC:
         return np.roll(U, -1, axis=0)
     out = np.empty_like(U)
     out[:-1, :] = U[1:, :]
     out[-1, :] = _bv(grid, bv).top
-    return out
-
-
-def shift_y_minus(grid: Grid, U: np.ndarray) -> np.ndarray:
-    if grid.boundary is Boundary.PERIODIC:
-        return np.roll(U, 1, axis=0)
-    out = np.empty_like(U)
-    out[1:, :] = U[:-1, :]
-    out[0, :] = 0.0
     return out
 
 

@@ -36,13 +36,17 @@ from .problems import DirichletBoundary, Problem
 
 @dataclass(frozen=True)
 class SchemeState:
-    """One time level: field ``u``, velocity ``v``, auxiliary ``r``, edge data ``bv``.
+    """One time level: field ``u``, velocity ``v``, auxiliary ``r`` and its edge data.
 
     ``u_prev`` is the previous level, absent only before the first step; the
     regular step needs it for the half-step extrapolation.  ``r`` equals
     ``sqrt(2 - cos u)`` at t = 0 and is evolved, not recomputed, afterwards.
-    ``bv`` holds the edge values at ``t`` on Dirichlet-exact grids (None on
-    periodic ones), evaluated once per level for its energy and next step.
+    On Dirichlet-exact grids ``bc`` is the problem's edge-data source, handed
+    on from level to level, and ``bv`` the edge values at ``t``, evaluated
+    once per level for its energy and next step; periodic states carry
+    neither.  ``reports`` are the CG solves of the step that produced this
+    level (one for li-leps, one per fixed-point sweep for ep-fds, none at
+    t = 0).
     """
 
     grid: Grid
@@ -51,7 +55,9 @@ class SchemeState:
     v: np.ndarray
     r: np.ndarray
     u_prev: np.ndarray | None = None
+    bc: DirichletBoundary | None = None
     bv: BoundaryValues | None = None
+    reports: tuple[SolveReport, ...] = ()
 
     def __post_init__(self):
         for name in ("u", "v", "r"):
@@ -61,9 +67,13 @@ class SchemeState:
                 raise NumericalError(f"non-finite values in {name} at t={self.t}")
         if self.u_prev is not None:
             self.grid.check_field(self.u_prev, "u_prev")
-        if (self.bv is None) == (self.grid.boundary is Boundary.DIRICHLET_EXACT):
-            raise ValueError("a Dirichlet-exact state must carry its edge values bv, "
-                             "a periodic state none")
+        if self.grid.boundary is Boundary.DIRICHLET_EXACT:
+            ok = self.bv is not None and self.bc is not None and self.bc.grid == self.grid
+        else:
+            ok = self.bv is None and self.bc is None
+        if not ok:
+            raise ValueError("a Dirichlet-exact state must carry bc (for its grid) and bv, "
+                             "a periodic state neither")
 
 
 @dataclass(frozen=True)
@@ -103,15 +113,16 @@ def init_state(problem: Problem, grid: Grid) -> SchemeState:
         if not np.all(np.isfinite(arr)):
             raise NumericalError(f"sampling initial {name} produced non-finite values")
     r = np.sqrt(2.0 - np.cos(u))
-    dirichlet = grid.boundary is Boundary.DIRICHLET_EXACT
-    bv = DirichletBoundary(problem, grid).values(0.0) if dirichlet else None
-    return SchemeState(grid, 0.0, u, v, r, bv=bv)
+    if grid.boundary is not Boundary.DIRICHLET_EXACT:
+        return SchemeState(grid, 0.0, u, v, r)
+    bc = DirichletBoundary(problem, grid)
+    return SchemeState(grid, 0.0, u, v, r, bc=bc, bv=bc.values(0.0))
 
 
 def _lift(
-    state: SchemeState, tau: float, bc: DirichletBoundary | None, rhs: np.ndarray
+    state: SchemeState, tau: float, rhs: np.ndarray
 ) -> tuple[np.ndarray | None, BoundaryValues | None, np.ndarray, np.ndarray]:
-    """Dirichlet lifting of the step solve from ``state``.
+    """Dirichlet lifting of the step solve from ``state``, through ``state.bc``.
 
     On Dirichlet-exact grids the new level is ``known + w``: ``known`` holds
     the exact values on the pinned low-edge ring and zeros inside, and ``w``
@@ -119,12 +130,10 @@ def _lift(
     new level's edge values ``bv`` (their one evaluation), ``rhs`` plus the
     edge contribution ``(tau^2/4) Lap(known)``, and the initial guess
     ``state.u``, the last two zeroed on the ring as :func:`pcg_solve`
-    requires.  Periodic grids (``bc`` None) get ``(None, None, rhs,
-    state.u)`` back untouched.  ``bc`` must be given exactly when ``state``
-    carries edge values.
+    requires.  Periodic states (``bc`` None) get ``(None, None, rhs,
+    state.u)`` back untouched.
     """
-    if (bc is None) != (state.bv is None):
-        raise ValueError("a Dirichlet-exact state steps with a bc, a periodic one without")
+    bc = state.bc
     if bc is None:
         return None, None, rhs, state.u
     grid = state.grid
@@ -137,15 +146,7 @@ def _lift(
     return known, bv, np.where(interior, rhs, 0.0), np.where(interior, state.u, 0.0)
 
 
-def _li_advance(
-    state: SchemeState,
-    tau: float,
-    d: np.ndarray,
-    bc: DirichletBoundary | None,
-    cg_tol: float,
-    cg_max_iter: int | None,
-    report_sink: list | None,
-) -> SchemeState:
+def _li_advance(state: SchemeState, tau: float, d: np.ndarray, cg_tol: float) -> SchemeState:
     """Shared body of the first and regular steps; ``d`` is the frozen coupling field."""
     grid = state.grid
     if tau <= 0:
@@ -156,46 +157,37 @@ def _li_advance(
 
     rhs = (u + tau * v + 0.25 * t2 * laplacian(grid, u, state.bv)
            + 0.125 * t2 * (d * d) * u - 0.5 * t2 * d * r)
-    known, bv, rhs, x0 = _lift(state, tau, bc, rhs)
-    w, report = pcg_solve(SystemOperator(grid, tau, d), rhs, tol=cg_tol,
-                          max_iter=cg_max_iter, x0=x0)
-    if report_sink is not None:
-        report_sink.append(report)
+    known, bv, rhs, x0 = _lift(state, tau, rhs)
+    w, report = pcg_solve(SystemOperator(grid, tau, d), rhs, tol=cg_tol, x0=x0)
     u_new = w if known is None else known + w
 
     v_new = 2.0 * (u_new - u) / tau - v
     r_new = r + 0.5 * d * (u_new - u)
-    return SchemeState(grid, t_new, u_new, v_new, r_new, u_prev=u, bv=bv)
+    return SchemeState(grid, t_new, u_new, v_new, r_new, u_prev=u, bc=state.bc, bv=bv,
+                       reports=(report,))
 
 
-def li_leps_step(
-    state: SchemeState,
-    tau: float,
-    bc: DirichletBoundary | None = None,
-    cg_tol: float = 1e-14,
-    cg_max_iter: int | None = None,
-    report_sink: list | None = None,
-) -> SchemeState:
-    """Regular three-level step; the coupling is frozen at the extrapolated half step."""
+def li_leps_step(state: SchemeState, tau: float, cg_tol: float = 1e-14) -> SchemeState:
+    """Regular three-level step; the coupling is frozen at the extrapolated half step.
+
+    Reads only ``state`` (its fields, previous level and edge data); the new
+    level carries its one CG report in ``reports``.
+    """
     if state.u_prev is None:
         raise ValueError("li_leps_step needs the previous level; take li_leps_first_step first")
     d = coupling(extrapolate_half_step(state.u, state.u_prev))
-    return _li_advance(state, tau, d, bc, cg_tol, cg_max_iter, report_sink)
+    return _li_advance(state, tau, d, cg_tol)
 
 
-def li_leps_first_step(
-    state: SchemeState,
-    tau: float,
-    bc: DirichletBoundary | None = None,
-    cg_tol: float = 1e-14,
-    cg_max_iter: int | None = None,
-    report_sink: list | None = None,
-) -> SchemeState:
-    """Bootstrap step at level 0: the coupling is frozen at the current field."""
+def li_leps_first_step(state: SchemeState, tau: float, cg_tol: float = 1e-14) -> SchemeState:
+    """Bootstrap step at level 0: the coupling is frozen at the current field.
+
+    Like :func:`li_leps_step`, it reads only ``state``.
+    """
     if state.u_prev is not None:
         raise ValueError("first step must start from level 0 (no previous level)")
     d = coupling(state.u)
-    return _li_advance(state, tau, d, bc, cg_tol, cg_max_iter, report_sink)
+    return _li_advance(state, tau, d, cg_tol)
 
 
 def _cos_quotient(u_new: np.ndarray, u_old: np.ndarray) -> np.ndarray:
@@ -224,10 +216,7 @@ def ep_fds_step(
     tau: float,
     fp_tol: float = 1e-14,
     fp_max: int = 50,
-    bc: DirichletBoundary | None = None,
     cg_tol: float = 1e-14,
-    cg_max_iter: int | None = None,
-    report_sink: list | None = None,
 ) -> SchemeState:
     """Fully implicit two-level energy-preserving step.
 
@@ -238,7 +227,8 @@ def ep_fds_step(
     with ``Q`` the difference quotient of ``1 - cos``; each sweep is one CG
     solve.  Conserves the original discrete energy exactly.  The auxiliary
     field of the returned state is recomputed as ``sqrt(2 - cos u)`` (this
-    scheme carries no auxiliary variable of its own).
+    scheme carries no auxiliary variable of its own).  Reads only ``state``;
+    the new level carries one CG report per sweep in ``reports``.
     """
     grid = state.grid
     if tau <= 0:
@@ -249,7 +239,7 @@ def ep_fds_step(
     op = _constant_operator(grid, tau)
 
     base = u + tau * v + 0.25 * t2 * laplacian(grid, u, state.bv)
-    known, bv, base, u0 = _lift(state, tau, bc, base)
+    known, bv, base, u0 = _lift(state, tau, base)
 
     # The sweeps run on the solve's unknowns: the quotient of two fields that
     # are zero on the pinned ring is zero there too, so every right-hand side
@@ -264,11 +254,11 @@ def ep_fds_step(
     target = fp_tol * max(1.0, grid.l2(base))
     w = u0
     quotient = _cos_quotient(w, u0)
+    reports = []
     for _ in range(fp_max):
         rhs = base - 0.5 * t2 * quotient
-        w, report = pcg_solve(op, rhs, tol=cg_tol, max_iter=cg_max_iter, x0=w)
-        if report_sink is not None:
-            report_sink.append(report)
+        w, report = pcg_solve(op, rhs, tol=cg_tol, x0=w)
+        reports.append(report)
         new_quotient = _cos_quotient(w, u0)
         lag = 0.5 * t2 * grid.l2(new_quotient - quotient)
         quotient = new_quotient
@@ -280,7 +270,8 @@ def ep_fds_step(
     u_new = w if known is None else known + w
     v_new = 2.0 * (u_new - u) / tau - v
     r_new = np.sqrt(2.0 - np.cos(u_new))
-    return SchemeState(grid, t_new, u_new, v_new, r_new, u_prev=u, bv=bv)
+    return SchemeState(grid, t_new, u_new, v_new, r_new, u_prev=u, bc=state.bc, bv=bv,
+                       reports=tuple(reports))
 
 
 SCHEMES = ("li-leps", "ep-fds")
@@ -304,20 +295,19 @@ def run(
     scheme: str = "li-leps",
     recorders: Sequence[Callable[[int, SchemeState], None]] = (),
     cg_tol: float = 1e-14,
-    cg_max_iter: int | None = None,
     fp_tol: float = 1e-14,
     fp_max: int = 50,
 ) -> RunResult:
     """Integrate from t = 0 for ``time_grid.m`` steps.
 
     Recorders are called with ``(step_index, state)`` after initialization and
-    after every step; they filter their own cadence.  The reported wall time
-    covers the stepping work only, not recorder evaluation, so scheme costs
-    compare cleanly.
+    after every step; they filter their own cadence and may read the step's
+    CG reports from ``state.reports``.  The solver totals of the result sum
+    those reports.  The reported wall time covers the stepping work only, not
+    recorder evaluation, so scheme costs compare cleanly.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    bc = DirichletBoundary(problem, grid) if grid.boundary is Boundary.DIRICHLET_EXACT else None
     state = init_state(problem, grid)
     for rec in recorders:
         rec(0, state)
@@ -329,17 +319,15 @@ def run(
         tic = time.perf_counter()
         if scheme == "li-leps":
             if state.u_prev is None:
-                state = li_leps_first_step(state, time_grid.tau, bc=bc, cg_tol=cg_tol,
-                                           cg_max_iter=cg_max_iter, report_sink=reports)
+                state = li_leps_first_step(state, time_grid.tau, cg_tol=cg_tol)
             else:
-                state = li_leps_step(state, time_grid.tau, bc=bc, cg_tol=cg_tol,
-                                     cg_max_iter=cg_max_iter, report_sink=reports)
+                state = li_leps_step(state, time_grid.tau, cg_tol=cg_tol)
         else:
-            before = len(reports)
-            state = ep_fds_step(state, time_grid.tau, fp_tol=fp_tol, fp_max=fp_max, bc=bc,
-                                cg_tol=cg_tol, cg_max_iter=cg_max_iter, report_sink=reports)
-            fp_sweeps += len(reports) - before
+            state = ep_fds_step(state, time_grid.tau, fp_tol=fp_tol, fp_max=fp_max,
+                                cg_tol=cg_tol)
+            fp_sweeps += len(state.reports)
         wall += time.perf_counter() - tic
+        reports.extend(state.reports)
         for rec in recorders:
             rec(k, state)
 

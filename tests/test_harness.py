@@ -216,6 +216,28 @@ class TestMainCli:
                    "--T", "0.1", "--out", str(tmp_path)])
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("flag", [
+        ("--cg-tol", "0"), ("--cg-tol", "inf"), ("--cg-tol", "nan"), ("--T", "inf"),
+        ("--tau", "inf"), ("--fp-tol", "-1"), ("--fp-tol", "inf"), ("--fp-max", "-1"),
+    ])
+    def test_bad_numeric_flag_exits_2(self, tmp_path, capsys, command, flag):
+        out = tmp_path / "out"
+        # the bad flag comes last, so it overrides a valid --tau or --T
+        rc = main([command, "--problem", "ring", "--n", "8", "--tau", "0.1", "--T", "0.1",
+                   "--out", str(out), *flag])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (out / "meta.json").exists()
+
+    @pytest.mark.parametrize("snap", ["nan", "0,inf", "x"])
+    def test_bad_snapshot_time_exits_2(self, tmp_path, capsys, snap):
+        rc = main(["run", "--problem", "ring", "--n", "8", "--tau", "0.1", "--T", "0.1",
+                   "--snap", snap, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_converge_cli(self, tmp_path):
         rc = main(["converge", "--problem", "double-pole-1d", "--n", "80",
                    "--tau", "0.02", "--T", "0.1", "--levels", "2",

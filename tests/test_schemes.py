@@ -310,20 +310,50 @@ class TestDirichletEdgeData:
     def test_state_requires_edge_values_exactly_on_dirichlet_grids(self):
         p = get_problem("line-kink-2d")
         g = p.grid(9, 7)
-        zeros = np.zeros(g.shape)
-        with pytest.raises(ValueError):
-            SchemeState(g, 0.0, zeros, zeros, np.ones(g.shape))
+        zeros, ones = np.zeros(g.shape), np.ones(g.shape)
+        bc = DirichletBoundary(p, g)
+        bv = bc.values(0.0)
+        SchemeState(g, 0.0, zeros, zeros, ones, bc=bc, bv=bv)
+        for edge in ({}, {"bc": bc}, {"bv": bv},
+                     {"bc": DirichletBoundary(p, p.grid(9, 8)), "bv": bv}):
+            with pytest.raises(ValueError):
+                SchemeState(g, 0.0, zeros, zeros, ones, **edge)
         periodic = make_grid(0, 1, 0, 1, n1=9, n2=7)
-        with pytest.raises(ValueError):
-            SchemeState(periodic, 0.0, zeros, zeros, np.ones(g.shape),
-                        bv=BoundaryValues.zeros(periodic))
+        SchemeState(periodic, 0.0, zeros, zeros, ones)
+        for edge in ({"bv": BoundaryValues.zeros(periodic)}, {"bc": bc}):
+            with pytest.raises(ValueError):
+                SchemeState(periodic, 0.0, zeros, zeros, ones, **edge)
 
-    @pytest.mark.parametrize("step", [li_leps_first_step, ep_fds_step])
-    def test_steppers_reject_mismatched_bc(self, step):
+    @pytest.mark.parametrize("scheme, step", [("li-leps", li_leps_first_step),
+                                              ("ep-fds", ep_fds_step)])
+    def test_hand_step_reads_edge_data_from_state(self, scheme, step):
         p = get_problem("line-kink-2d")
         g = p.grid(9, 7)
-        with pytest.raises(ValueError):
-            step(init_state(p, g), 0.1)
-        ring = get_problem("ring")
-        with pytest.raises(ValueError):
-            step(init_state(ring, ring.grid(9, 7)), 0.1, bc=DirichletBoundary(p, g))
+        levels = []
+        run(p, g, TimeGrid(0.1, 1), scheme=scheme,
+            recorders=(lambda k, st: levels.append(st),))
+        start = init_state(p, g)
+        by_hand = step(start, 0.1)
+        assert by_hand.bc is start.bc
+        for name in ("u", "v", "r", "u_prev"):
+            assert np.array_equal(getattr(by_hand, name), getattr(levels[1], name))
+        assert by_hand.reports == levels[1].reports
+        for edge in ("right", "top"):
+            assert np.array_equal(getattr(by_hand.bv, edge), getattr(levels[1].bv, edge))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_recorded_reports_reproduce_solver_totals(scheme):
+    p = get_problem("line-kink-2d")
+    per_level = []
+    result = run(p, p.grid(9, 7), TimeGrid(0.1, 4), scheme=scheme,
+                 recorders=(lambda k, st: per_level.append(st.reports),))
+    assert per_level[0] == ()
+    iterations = [r.iterations for reports in per_level for r in reports]
+    assert sum(iterations) == result.cg_iterations
+    assert max(iterations) == result.cg_iterations_max
+    if scheme == "li-leps":
+        assert [len(reports) for reports in per_level[1:]] == [1] * 4
+        assert result.fp_sweeps == 0
+    else:
+        assert sum(len(reports) for reports in per_level) == result.fp_sweeps

@@ -115,8 +115,13 @@ class EnergyRecorder:
     def __call__(self, step: int, state: SchemeState) -> None:
         if step % self.every:
             return
-        e_mod = global_energy_modified(state)
-        e_orig = global_energy_original(state)
+        # One kinetic-plus-gradient density for both energies; each adds its
+        # potential term as its density function does, so both totals equal
+        # global_energy_modified/global_energy_original bit for bit.
+        kinetic_gradient = _kinetic_and_gradient_density(state)
+        area = state.grid.cell_area
+        e_mod = area * float(np.sum(kinetic_gradient + state.r**2))
+        e_orig = area * float(np.sum(kinetic_gradient + (1.0 - np.cos(state.u))))
         if self._e0 is None:
             self._e0 = e_mod
         dev = abs(e_mod - self._e0) / abs(self._e0) if self._e0 != 0 else abs(e_mod - self._e0)

@@ -87,17 +87,32 @@ def _build(cfg: RunConfig) -> tuple[Problem, Grid, TimeGrid]:
     return problem, grid, time_grid
 
 
+def _field_csv_name(t: float) -> str:
+    return f"field_t{t:g}.csv"
+
+
 def _snapshot_steps(cfg: RunConfig, time_grid: TimeGrid) -> dict[int, float]:
-    """Map requested snapshot times to step indices; reject mismatches beyond tau/2."""
+    """Map requested snapshot times to step indices.
+
+    Rejects times beyond tau/2 of every step and two times that share a step
+    or a file name, either of which would drop a snapshot.
+    """
     times = cfg.snap_times or tuple(sorted({0.0, cfg.T}))
     steps: dict[int, float] = {}
+    names: dict[str, float] = {}
     for t in times:
         k = int(round(t / time_grid.tau))
         if abs(k * time_grid.tau - t) > time_grid.tau / 2 + 1e-12:
             raise ConfigError(f"snapshot time {t} is not within tau/2 of any step")
         if k < 0 or k > time_grid.m:
             raise ConfigError(f"snapshot time {t} lies outside [0, T]")
-        steps[k] = t
+        name = _field_csv_name(t)
+        if k in steps:
+            raise ConfigError(f"snapshot times {steps[k]} and {t} both map to step {k}")
+        if name in names:
+            raise ConfigError(f"snapshot times {names[name]} and {t} would both be written "
+                              f"to {name}")
+        steps[k] = names[name] = t
     return steps
 
 
@@ -179,7 +194,7 @@ def cmd_run(cfg: RunConfig) -> int:
             values = problem.display_transform(values)
         if cfg.mirror:
             values = mirror_field(problem, values)
-        write_field_csv(out / f"field_t{t_req:g}.csv", grid, values)
+        write_field_csv(out / _field_csv_name(t_req), grid, values)
 
     extra = {"n_steps": time_grid.m, "h1": grid.h1, "h2": grid.h2}
     if result is not None:

@@ -120,34 +120,44 @@ def init_state(problem: Problem, grid: Grid) -> SchemeState:
 
 
 def _lift(
-    state: SchemeState, tau: float, rhs: np.ndarray
-) -> tuple[np.ndarray | None, BoundaryValues | None, np.ndarray, np.ndarray]:
+    state: SchemeState, tau: float, rhs: np.ndarray, scratch: np.ndarray
+) -> tuple[np.ndarray | None, BoundaryValues | None, np.ndarray]:
     """Dirichlet lifting of the step solve from ``state``, through ``state.bc``.
 
     On Dirichlet-exact grids the new level is ``known + w``: ``known`` holds
     the exact values on the pinned low-edge ring and zeros inside, and ``w``
-    solves the step system on the interior unknowns.  Returns ``known``, the
-    new level's edge values ``bv`` (their one evaluation), ``rhs`` plus the
-    edge contribution ``(tau^2/4) Lap(known)``, and the initial guess
-    ``state.u``, the last two zeroed on the ring as :func:`pcg_solve`
-    requires.  Periodic states (``bc`` None) get ``(None, None, rhs,
-    state.u)`` back untouched.
+    solves the step system on the interior unknowns.  Adds the edge
+    contribution ``(tau^2/4) Lap(known)`` to ``rhs`` in place (through
+    ``scratch``) and zeroes ``rhs`` on the ring, as :func:`pcg_solve`
+    requires.  Returns ``known``, the new level's edge values ``bv`` (their
+    one evaluation) and the initial guess: ``state.u`` zeroed on the ring, a
+    new field.  Periodic states (``bc`` None) leave ``rhs`` untouched and get
+    ``(None, None, state.u)`` back.
     """
     bc = state.bc
     if bc is None:
-        return None, None, rhs, state.u
+        return None, None, state.u
     grid = state.grid
     t_new = state.t + tau
     t2 = tau * tau
     known = bc.pin(np.zeros(grid.shape), t_new)
     bv = bc.values(t_new)
-    rhs = rhs + 0.25 * t2 * laplacian(grid, known, bv)
+    laplacian(grid, known, bv, out=scratch)
+    scratch *= 0.25 * t2
+    rhs += scratch
     interior = grid.interior_mask
-    return known, bv, np.where(interior, rhs, 0.0), np.where(interior, state.u, 0.0)
+    rhs[~interior] = 0.0
+    return known, bv, np.where(interior, state.u, 0.0)
 
 
 def _li_advance(state: SchemeState, tau: float, d: np.ndarray, cg_tol: float) -> SchemeState:
-    """Shared body of the first and regular steps; ``d`` is the frozen coupling field."""
+    """Shared body of the first and regular steps; ``d`` is the frozen coupling field.
+
+    The right-hand side ``u + tau v + (tau^2/4) Lap u + (tau^2/8) d^2 u -
+    (tau^2/2) d r`` is assembled in place in the new level's ``v`` and ``r``
+    fields, which are free until the solve returns; both updates then start
+    from the one difference ``u_new - u``.
+    """
     grid = state.grid
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -155,14 +165,30 @@ def _li_advance(state: SchemeState, tau: float, d: np.ndarray, cg_tol: float) ->
     t_new = state.t + tau
     t2 = tau * tau
 
-    rhs = (u + tau * v + 0.25 * t2 * laplacian(grid, u, state.bv)
-           + 0.125 * t2 * (d * d) * u - 0.5 * t2 * d * r)
-    known, bv, rhs, x0 = _lift(state, tau, rhs)
-    w, report = pcg_solve(SystemOperator(grid, tau, d), rhs, tol=cg_tol, x0=x0)
-    u_new = w if known is None else known + w
+    rhs = laplacian(grid, u, state.bv)
+    rhs *= 0.25 * t2
+    s = np.multiply(v, tau)
+    s += u
+    rhs += s
+    np.multiply(d, d, out=s)
+    s *= 0.125 * t2
+    s *= u
+    rhs += s
+    np.multiply(d, 0.5 * t2, out=s)
+    s *= r
+    rhs -= s
+    known, bv, x0 = _lift(state, tau, rhs, s)
+    u_new, report = pcg_solve(SystemOperator(grid, tau, d), rhs, tol=cg_tol, x0=x0)
+    if known is not None:
+        u_new += known
 
-    v_new = 2.0 * (u_new - u) / tau - v
-    r_new = r + 0.5 * d * (u_new - u)
+    v_new = np.subtract(u_new, u, out=rhs)
+    r_new = np.multiply(d, 0.5, out=s)
+    r_new *= v_new
+    r_new += r
+    v_new *= 2.0
+    v_new /= tau
+    v_new -= v
     return SchemeState(grid, t_new, u_new, v_new, r_new, u_prev=u, bc=state.bc, bv=bv,
                        reports=(report,))
 
@@ -190,25 +216,41 @@ def li_leps_first_step(state: SchemeState, tau: float, cg_tol: float = 1e-14) ->
     return _li_advance(state, tau, d, cg_tol)
 
 
-def _cos_quotient(u_new: np.ndarray, u_old: np.ndarray) -> np.ndarray:
-    """Difference quotient ``(cos(u_old) - cos(u_new)) / (u_new - u_old)``.
+def _cos_quotient(
+    u_new: np.ndarray, u_old: np.ndarray, out: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """Difference quotient ``(cos(u_old) - cos(u_new)) / (u_new - u_old)``, into ``out``.
 
     Evaluated through ``sin(mid) * sin(half)/half`` (an exact identity), which
     is free of cancellation for any level separation.  Where the levels differ
     by less than 1e-8 the sine ratio is replaced by its limit 1, i.e. the
     quotient becomes sin of the midpoint; the substitution error is
-    O(threshold^2) and below resolution anyway.
+    O(threshold^2) and below resolution anyway.  ``out`` and ``scratch`` are
+    distinct fields that overlap neither input.
     """
-    half = 0.5 * (u_new - u_old)
-    small = np.abs(half) < 5e-9
-    ratio = np.where(small, 1.0, np.sin(half) / np.where(small, 1.0, half))
-    return np.sin(0.5 * (u_new + u_old)) * ratio
+    half = np.subtract(u_new, u_old, out=scratch)
+    half *= 0.5
+    small = np.abs(half, out=out) < 5e-9
+    np.sin(half, out=out)
+    np.copyto(half, 1.0, where=small)
+    out /= half
+    np.copyto(out, 1.0, where=small)
+    mid = np.add(u_new, u_old, out=scratch)
+    mid *= 0.5
+    out *= np.sin(mid, out=mid)
+    return out
 
 
 @lru_cache(maxsize=1)
 def _constant_operator(grid: Grid, tau: float) -> SystemOperator:
     """The ep-fds system ``I - (tau^2/4) Lap``, shared by every step of a run."""
     return SystemOperator(grid, tau, np.zeros(grid.shape))
+
+
+@lru_cache(maxsize=1)
+def _sweep_fields(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Two work fields of the ep-fds sweeps on one grid shape, kept across steps."""
+    return np.empty(shape), np.empty(shape)
 
 
 def ep_fds_step(
@@ -238,8 +280,17 @@ def ep_fds_step(
     t2 = tau * tau
     op = _constant_operator(grid, tau)
 
-    base = u + tau * v + 0.25 * t2 * laplacian(grid, u, state.bv)
-    known, bv, base, u0 = _lift(state, tau, base)
+    # The constant part of the right-hand side and one of the two quotients
+    # live in the new level's v and r fields until the sweeps end; the
+    # sweep's right-hand side (also the scratch of the quotient and the lag
+    # difference) and the other quotient are kept across steps.
+    rhs, new_quotient = _sweep_fields(grid.shape)
+    base = v_new = laplacian(grid, u, state.bv)
+    base *= 0.25 * t2
+    np.multiply(v, tau, out=rhs)
+    rhs += u
+    base += rhs
+    known, bv, u0 = _lift(state, tau, base, rhs)
 
     # The sweeps run on the solve's unknowns: the quotient of two fields that
     # are zero on the pinned ring is zero there too, so every right-hand side
@@ -253,23 +304,31 @@ def ep_fds_step(
     # the sum of the two tolerances.
     target = fp_tol * max(1.0, grid.l2(base))
     w = u0
-    quotient = _cos_quotient(w, u0)
+    quotient = r_new = _cos_quotient(w, u0, np.empty(grid.shape), rhs)
     reports = []
     for _ in range(fp_max):
-        rhs = base - 0.5 * t2 * quotient
+        np.multiply(quotient, 0.5 * t2, out=rhs)
+        np.subtract(base, rhs, out=rhs)
         w, report = pcg_solve(op, rhs, tol=cg_tol, x0=w)
         reports.append(report)
-        new_quotient = _cos_quotient(w, u0)
-        lag = 0.5 * t2 * grid.l2(new_quotient - quotient)
-        quotient = new_quotient
+        _cos_quotient(w, u0, new_quotient, rhs)
+        lag = 0.5 * t2 * grid.l2(np.subtract(new_quotient, quotient, out=rhs))
+        quotient, new_quotient = new_quotient, quotient
         if lag <= target:
             break
     else:
         raise NumericalError(f"fixed-point iteration did not converge within {fp_max} sweeps")
 
-    u_new = w if known is None else known + w
-    v_new = 2.0 * (u_new - u) / tau - v
-    r_new = np.sqrt(2.0 - np.cos(u_new))
+    u_new = w
+    if known is not None:
+        u_new += known
+    np.subtract(u_new, u, out=v_new)
+    v_new *= 2.0
+    v_new /= tau
+    v_new -= v
+    np.cos(u_new, out=r_new)
+    np.subtract(2.0, r_new, out=r_new)
+    np.sqrt(r_new, out=r_new)
     return SchemeState(grid, t_new, u_new, v_new, r_new, u_prev=u, bc=state.bc, bv=bv,
                        reports=tuple(reports))
 

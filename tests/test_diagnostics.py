@@ -152,6 +152,26 @@ class TestEnergyRecorder:
         assert rec.records[0].deviation == 0.0
         assert all(r.deviation <= 1e-12 for r in rec.records)
 
+    @pytest.mark.parametrize("problem,n", [("ring", 24), ("line-kink-2d", 9)])
+    def test_records_equal_the_global_energies(self, problem, n):
+        p = get_problem(problem)
+        rec = EnergyRecorder()
+        states = []
+        run(p, p.grid(n), TimeGrid(0.05, 3),
+            recorders=(rec, lambda k, st: states.append(st)))
+        for record, st in zip(rec.records, states, strict=True):
+            assert record.e_modified == global_energy_modified(st)
+            assert record.e_original == global_energy_original(st)
+
+    def test_ring_paper_modified_energy_stays_at_round_off(self):
+        # 100 li-leps steps of the paper's ring configuration: the deviation
+        # stays near 1e-15, while an operator whose diagonal is rounded as a
+        # whole drifts it to 2e-13
+        p = get_problem("ring")
+        rec = EnergyRecorder()
+        run(p, p.grid(200), TimeGrid(0.01, 100), recorders=(rec,))
+        assert max(r.deviation for r in rec.records) <= 1e-14
+
     def test_rejects_bad_cadence(self):
         with pytest.raises(ValueError):
             EnergyRecorder(every=0)

@@ -238,6 +238,20 @@ class TestMainCli:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("tau,snap", [
+        ("0.01", "0.1,0.104"),       # one step, two file names
+        ("0.01", "0.1,0.1000001"),   # one step, one file name
+        ("0.01", "0.1,0.1"),
+        ("1e-7", "0.1,0.1000001"),   # two steps, one file name
+    ])
+    def test_snapshot_times_that_collide_exit_2(self, tmp_path, capsys, tau, snap):
+        out = tmp_path / "out"
+        rc = main(["run", "--problem", "ring", "--n", "8", "--tau", tau, "--T", "0.2",
+                   "--snap", snap, "--out", str(out)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (out / "meta.json").exists()
+
     def test_converge_cli(self, tmp_path):
         rc = main(["converge", "--problem", "double-pole-1d", "--n", "80",
                    "--tau", "0.02", "--T", "0.1", "--levels", "2",

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sinegordon import (Boundary, NonConvergenceError, SystemOperator, coupling,
                         get_problem, make_grid, make_grid_1d, pcg_solve)
+
+from sinegordon.linear_solver import _workspace
 
 from oracles import dense_system_matrix
 
@@ -36,6 +40,30 @@ def test_apply_writes_into_out():
         buf = np.full(g.shape, np.nan)
         assert op.apply(w, out=buf) is buf
         np.testing.assert_array_equal(buf, op.apply(w))
+
+
+@pytest.mark.parametrize("ratio", [0.07, 14.0])
+@pytest.mark.parametrize("grid", [
+    make_grid(0, 1, 0, 1, n1=2, n2=2), make_grid(0, 1, 0, 2, n1=2, n2=5),
+    make_grid(0, 1, 0, 2, n1=9, n2=7), make_grid_1d(0, 1, 7),
+], ids=["2x2", "2x5", "9x7", "1d-7"])
+def test_apply_matches_dense_matrix(grid, ratio):
+    tau = ratio * grid.h1
+    op = random_operator(grid, tau, seed=31)
+    w = np.random.default_rng(32).normal(size=grid.shape)
+    ref = (dense_system_matrix(grid, tau, op.d) @ w.ravel()).reshape(grid.shape)
+    np.testing.assert_allclose(op.apply(w), ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("tau", [0.01, 0.3, 5.0])
+@pytest.mark.parametrize("grid", [make_grid(0, 1, 0, 1, n1=8, n2=8), make_grid_1d(0, 1, 8)],
+                         ids=["square", "1d"])
+def test_apply_maps_constants_exactly_where_d_vanishes(grid, tau):
+    # A rounded diagonal acting as (1 + eps) I would drift the conserved energy
+    op = SystemOperator(grid, tau, np.zeros(grid.shape))
+    for c in (0.3, 1.7, -2.9, 2 * np.pi):
+        w = np.full(grid.shape, c)
+        np.testing.assert_array_equal(op.apply(w), w)
 
 
 def test_apply_symmetric_positive_definite_small():
@@ -101,6 +129,50 @@ def test_callback_sees_one_iterate_updated_in_place():
     assert {ptr for ptr, _ in seen} == {x.ctypes.data}
     assert not np.array_equal(seen[0][1], seen[-1][1])
     assert np.all(x0 == 0.0)
+
+
+def test_repeat_solve_allocates_at_most_two_fields():
+    g = make_grid(0, 1, 0, 1, n1=64, n2=48)
+    op = random_operator(g, 0.3, seed=26)
+    rng = np.random.default_rng(27)
+    rhs, x0 = rng.normal(size=g.shape), rng.normal(size=g.shape)
+    pcg_solve(op, rhs, x0=x0)  # warm-up: the workspace and the diagonal
+    tracemalloc.start()
+    try:
+        x, report = pcg_solve(op, rhs, x0=x0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.iterations >= 2
+    assert peak <= 2 * x.nbytes
+
+
+def test_results_share_no_memory_with_the_workspace():
+    g = make_grid(0, 1, 0, 2, n1=9, n2=7)
+    op = random_operator(g, 0.5, seed=28)
+    rng = np.random.default_rng(29)
+    rhs, x0, w = (rng.normal(size=g.shape) for _ in range(3))
+    results = [pcg_solve(op, rhs)[0], pcg_solve(op, rhs, x0=x0)[0], op.apply(w)]
+    work = _workspace(g.shape)
+    for res in results:
+        for field in (*work, rhs, x0, w):
+            assert not np.shares_memory(res, field)
+
+
+def test_alternating_shapes_solve_as_in_reverse_order():
+    ops = [random_operator(make_grid(0, 1, 0, 1, n1=12, n2=10), 0.4, seed=33),
+           random_operator(make_grid_1d(0, 3, 40), 0.4, seed=34)]
+    rng = np.random.default_rng(35)
+    solves = [(op, rng.normal(size=op.grid.shape), rng.normal(size=op.grid.shape))
+              for _ in range(3) for op in ops]
+
+    def solve_all(order):
+        return {i: pcg_solve(solves[i][0], solves[i][1], x0=solves[i][2])[0] for i in order}
+
+    forward = solve_all(range(len(solves)))
+    backward = solve_all(reversed(range(len(solves))))
+    for i in forward:
+        np.testing.assert_array_equal(forward[i], backward[i])
 
 
 def test_manufactured_solution_recovered():

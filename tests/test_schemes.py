@@ -8,6 +8,8 @@ from sinegordon import (SCHEMES, BoundaryValues, DirichletBoundary, NumericalErr
                         ep_fds_step, error_vs_exact, get_problem,
                         global_energy_original, init_state, li_leps_first_step,
                         li_leps_step, make_grid, make_grid_1d, run)
+from sinegordon import schemes
+from sinegordon.linear_solver import _workspace
 from sinegordon.operators import extrapolate_half_step
 
 from oracles import coupled_step_dense
@@ -235,6 +237,38 @@ class TestEpFdsStep:
         result = run(p, p.grid(40), TimeGrid(0.05, 100), scheme="ep-fds")
         assert result.fp_sweeps > 100
         assert len(calls) == 1
+
+
+class TestCosQuotient:
+    def test_matches_the_difference_quotient_and_its_limit(self):
+        rng = np.random.default_rng(41)
+        a, b = rng.uniform(-4, 4, size=(2, 6, 5))
+        b[0] = a[0]
+        b[1] = a[1] + 1e-10
+        out, scratch = np.full((2, 6, 5), np.nan)
+        assert schemes._cos_quotient(a, b, out, scratch) is out
+        apart = slice(2, None)
+        np.testing.assert_allclose(out[apart], (np.cos(b) - np.cos(a))[apart] / (a - b)[apart],
+                                   rtol=1e-10)
+        np.testing.assert_array_equal(out[:2], np.sin(0.5 * (a + b))[:2])
+
+
+class TestFieldOwnership:
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("problem,n", [("ring", (16,)), ("line-kink-2d", (9, 7))])
+    def test_levels_share_no_memory(self, scheme, problem, n):
+        p = get_problem(problem)
+        levels = []
+        run(p, p.grid(*n), TimeGrid(0.1, 5), scheme=scheme,
+            recorders=(lambda k, st: levels.append(st),))
+        assert len(levels) == 6
+        fields = [(st.t, name, getattr(st, name)) for st in levels for name in ("u", "v", "r")]
+        for i, (t, name, a) in enumerate(fields):
+            for t_other, other, b in fields[i + 1:]:
+                assert not np.shares_memory(a, b), (t, name, t_other, other)
+        work = (*_workspace(levels[0].grid.shape), *schemes._sweep_fields(levels[0].grid.shape))
+        for t, name, a in fields:
+            assert not any(np.shares_memory(a, b) for b in work), (t, name)
 
 
 class TestRun:

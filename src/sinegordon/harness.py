@@ -203,6 +203,7 @@ def cmd_run(cfg: RunConfig) -> int:
             "cg_iterations": result.cg_iterations,
             "cg_iterations_max": result.cg_iterations_max,
             "fp_sweeps": result.fp_sweeps,
+            "preconditioner": result.preconditioner,
         })
     return _write_meta(out, "run", asdict(cfg), extra, failure)
 
@@ -280,6 +281,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         cpu_rows.append((scheme, grid.num_nodes, result.wall_seconds))
         solver_stats[scheme] = {"cg_iterations": result.cg_iterations,
                                 "fp_sweeps": result.fp_sweeps,
+                                "preconditioner": result.preconditioner,
                                 "wall_seconds_stepping": result.wall_seconds}
 
     with open(out / "cpu.csv", "w", newline="") as fh:

@@ -73,12 +73,15 @@ def laplacian(
 ) -> np.ndarray:
     """5-point Laplacian (3-point in 1D), written into ``out`` when given.
 
-    ``out`` (a float field on ``grid`` that does not overlap ``U``) receives
-    the result and is returned; otherwise a new field is.  Slice views do all
-    the work, so no temporary field is allocated.  Each axis stores or adds
-    its neighbor sum and then subtracts ``U`` twice, which maps constants to
-    exactly zero; in 2D the x-part is scaled by ``h2^2/h1^2`` before the
-    y-part joins it and the sum is divided by ``h2^2``.
+    ``out`` (a C-contiguous float field on ``grid`` that does not overlap
+    ``U``) receives the result and is returned; otherwise a new field is.
+    Slice views do all the work, so no temporary field is allocated.  Each
+    axis stores or adds its neighbor sum and then subtracts ``U`` twice,
+    which maps constants to exactly zero; in 2D the x-part is scaled by
+    ``h2^2/h1^2`` before the y-part joins it and the sum is divided by
+    ``h2^2``.  The x-neighbor sum runs along the flattened field, which reads
+    contiguous memory; the two edge columns, whose flat neighbors lie in
+    other rows, are redone after it.
 
     In 1D mode the y-term is skipped: both y-neighbors are the node itself.
     On Dirichlet-exact grids the high-edge neighbors are read from ``bv``
@@ -92,11 +95,14 @@ def laplacian(
         grid.check_field(out, "out")
         if np.may_share_memory(out, U):
             raise ValueError("out must not overlap U")
+        if not out.flags.c_contiguous:
+            raise ValueError("out must be C-contiguous")
     periodic = grid.boundary is Boundary.PERIODIC
     if not periodic:
         bv = _bv(grid, bv)
 
-    np.add(U[:, 2:], U[:, :-2], out=out[:, 1:-1])
+    Uf = U.reshape(-1)
+    np.add(Uf[2:], Uf[:-2], out=out.reshape(-1)[1:-1])
     np.add(U[:, 0] if periodic else bv.right, U[:, -2], out=out[:, -1])
     if periodic:
         np.add(U[:, 1], U[:, -1], out=out[:, 0])

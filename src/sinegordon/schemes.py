@@ -345,6 +345,7 @@ class RunResult:
     cg_iterations: int
     cg_iterations_max: int
     fp_sweeps: int
+    preconditioner: str | None  # of the run's solves; None when it took no step
 
 
 def run(
@@ -398,4 +399,5 @@ def run(
         cg_iterations=sum(r.iterations for r in reports),
         cg_iterations_max=max((r.iterations for r in reports), default=0),
         fp_sweeps=fp_sweeps,
+        preconditioner=reports[0].preconditioner if reports else None,
     )

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -311,3 +315,39 @@ class TestMainCli:
         meta = json.loads((tmp_path / "meta.json").read_text())
         assert meta["failure"].startswith("ep-fds: ")
         assert list(meta["solver"]) == ["li-leps"]
+
+
+class TestPreconditionerReported:
+    def test_run_meta_names_the_preconditioner(self, tmp_path):
+        # tau/h 0.57 on ring 16²: above the spectral threshold
+        rc = main(["run", "--problem", "ring", "--n", "16", "--tau", "1", "--T", "2",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert meta["preconditioner"] == "spectral"
+
+    def test_compare_meta_names_each_scheme_preconditioner(self, tmp_path):
+        rc = main(["compare", "--problem", "double-pole-1d", "--n", "60",
+                   "--tau", "0.02", "--T", "0.1", "--out", str(tmp_path)])
+        assert rc == 0
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert {s: v["preconditioner"] for s, v in meta["solver"].items()} == {
+            "li-leps": "jacobi", "ep-fds": "jacobi"}
+
+    def test_jacobi_runs_never_import_numpy_fft(self, tmp_path):
+        # numpy.fft and its plans would add resident memory to every Jacobi run
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        script = (
+            "import sys\n"
+            "from sinegordon.harness import main\n"
+            "assert main(['run', '--problem', 'ring', '--n', '16', '--tau', '0.01',\n"
+            "             '--T', '0.05', '--out', sys.argv[1]]) == 0\n"
+            "print('numpy.fft' in sys.modules)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "False"
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert meta["preconditioner"] == "jacobi"

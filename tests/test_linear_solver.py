@@ -6,7 +6,7 @@ import pytest
 from sinegordon import (Boundary, NonConvergenceError, SystemOperator, coupling,
                         get_problem, make_grid, make_grid_1d, pcg_solve)
 
-from sinegordon.linear_solver import _workspace
+from sinegordon.linear_solver import _spectral, _spectral_solve, _workspace
 
 from oracles import dense_system_matrix
 
@@ -292,3 +292,39 @@ def test_grid_mismatch_rejected():
         op.apply(np.zeros((3, 3)))
     with pytest.raises(ValueError):
         pcg_solve(op, np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("grid", [
+    make_grid(0, 1, 0, 2, n1=9, n2=7), make_grid(0, 1, 0, 2, n1=2, n2=5),
+    make_grid(0, 1, 0, 2, n1=12, n2=10), make_grid(0, 1, 0, 2, n1=64, n2=48),
+], ids=["9x7", "2x5", "12x10", "64x48"])
+def test_spectral_preconditioner_inverts_the_constant_operator(grid):
+    tau = 2.0 * grid.h1
+    op0 = SystemOperator(grid, tau, np.zeros(grid.shape))
+    w = np.random.default_rng(40).normal(size=grid.shape)
+    spectral = _spectral(grid.shape, grid.h1, grid.h2, tau)
+    out = _spectral_solve(spectral, op0.apply(w), np.empty(grid.shape))
+    assert grid.l2(out - w) <= 1e-13 * grid.l2(w)
+
+
+def test_spectral_solve_matches_dense_oracle():
+    g = make_grid(0, 1, 0, 1, n1=12, n2=10)
+    tau = 3.0 * g.h1
+    op = random_operator(g, tau, seed=41)
+    rhs = np.random.default_rng(42).normal(size=g.shape)
+    x, report = pcg_solve(op, rhs)
+    assert report.preconditioner == "spectral" and report.converged
+    x_dense = np.linalg.solve(dense_system_matrix(g, tau, op.d), rhs.ravel())
+    np.testing.assert_allclose(x.ravel(), x_dense, rtol=0, atol=1e-12)
+
+
+def test_spectral_solve_stops_when_the_true_residual_stagnates():
+    # The recursive residual keeps falling far below 1e-17; the true one
+    # stalls at round-off, so the solve must fail instead of reporting it.
+    g = make_grid(0, 1, 0, 1, n1=32, n2=32)
+    op = random_operator(g, 0.1, seed=43)
+    rhs = np.random.default_rng(44).normal(size=g.shape)
+    iterations = []
+    with pytest.raises(NonConvergenceError, match=r"true residual .*recursive"):
+        pcg_solve(op, rhs, tol=1e-17, callback=lambda x: iterations.append(1))
+    assert 0 < len(iterations) <= 32  # max_iter is 320

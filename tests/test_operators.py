@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from sinegordon import (coupling, coupling_prime, coupling_second, delta_x,
-                        delta_y, extrapolate_half_step, laplacian, make_grid,
-                        make_grid_1d, time_average)
+from sinegordon import (Boundary, BoundaryValues, coupling, coupling_prime,
+                        coupling_second, delta_x, delta_y, extrapolate_half_step,
+                        laplacian, make_grid, make_grid_1d, time_average)
 from sinegordon.operators import shift_x_plus, shift_y_plus
 
 from oracles import centered_derivative, dense_laplacian_periodic
@@ -89,6 +91,8 @@ def test_laplacian_rejects_bad_out():
         laplacian(g, U, out=np.empty((3, 3)))
     with pytest.raises(ValueError):
         laplacian(g, U, out=U)
+    with pytest.raises(ValueError):
+        laplacian(g, U, out=np.empty((7, 18))[:, ::2])
 
 
 def test_laplacian_spike_readout():
@@ -258,3 +262,65 @@ class TestDirichletReads:
         # last column reads a zero virtual neighbor
         np.testing.assert_allclose(out[:, -1], -1.0 / g.h1, rtol=1e-14)
         np.testing.assert_allclose(out[:, :-1], 0.0, atol=0)
+
+
+def slice_laplacian(grid, U, bv=None):
+    """The 5-point Laplacian with its x-neighbour sum over 2-D slices."""
+    periodic = grid.boundary is Boundary.PERIODIC
+    if bv is None:
+        bv = BoundaryValues.zeros(grid)
+    out = np.empty(grid.shape)
+    np.add(U[:, 2:], U[:, :-2], out=out[:, 1:-1])
+    np.add(U[:, 0] if periodic else bv.right, U[:, -2], out=out[:, -1])
+    if periodic:
+        np.add(U[:, 1], U[:, -1], out=out[:, 0])
+    else:
+        out[:, 0] = U[:, 1]
+    out -= U
+    out -= U
+    if grid.is_1d:
+        out /= grid.h1**2
+        return out
+    out *= grid.h2**2 / grid.h1**2
+    out[1:-1] += U[2:]
+    out[1:-1] += U[:-2]
+    out[-1] += U[0] if periodic else bv.top
+    out[-1] += U[-2]
+    out[0] += U[1]
+    if periodic:
+        out[0] += U[-1]
+    out -= U
+    out -= U
+    out /= grid.h2**2
+    if not periodic:
+        out[0, :] = 0.0
+        out[:, 0] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("grid", [
+    make_grid(0, 1, 0, 2, n1=9, n2=7), make_grid(0, 1, 0, 2, n1=2, n2=5),
+    make_grid_1d(0, 3, 7),
+    make_grid(0, 1, 0, 2, n1=9, n2=7, boundary=Boundary.DIRICHLET_EXACT),
+], ids=["9x7", "2x5", "1d-7", "dirichlet-9x7"])
+def test_laplacian_bit_identical_to_the_slice_formula(grid):
+    rng = np.random.default_rng(50)
+    U = rng.normal(size=grid.shape)
+    bv = None
+    if grid.boundary is Boundary.DIRICHLET_EXACT:
+        bv = BoundaryValues(rng.normal(size=grid.n2), rng.normal(size=grid.n1))
+    np.testing.assert_array_equal(laplacian(grid, U, bv), slice_laplacian(grid, U, bv))
+
+
+def test_laplacian_into_out_allocates_no_buffers():
+    g = make_grid(0, 1, 0, 1, n1=200, n2=200)
+    U = np.random.default_rng(51).normal(size=g.shape)
+    buf = np.empty(g.shape)
+    laplacian(g, U, out=buf)
+    tracemalloc.start()
+    try:
+        laplacian(g, U, out=buf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024  # slice view objects only; a row of U is 1600 bytes

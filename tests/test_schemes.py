@@ -391,3 +391,50 @@ def test_recorded_reports_reproduce_solver_totals(scheme):
         assert result.fp_sweeps == 0
     else:
         assert sum(len(reports) for reports in per_level) == result.fp_sweeps
+
+
+@pytest.mark.parametrize("problem, n, tau, expected", [
+    ("ring", 200, 0.01, "jacobi"),             # tau/h 0.07, ring-paper
+    ("ring", 320, 0.125, "spectral"),          # tau/h 1.43, ring-large-step
+    ("line-kink-2d", 16, 4.375, "jacobi"),     # tau/h 5, Dirichlet-exact
+    ("double-pole-1d", 100, 2.0, "jacobi"),    # tau/h 5, 1D
+])
+def test_preconditioner_chosen_from_grid_and_tau(problem, n, tau, expected):
+    p = get_problem(problem)
+    result = run(p, p.grid(n), TimeGrid(tau, 1))
+    assert [r.preconditioner for r in result.state.reports] == [expected]
+    assert result.preconditioner == expected
+
+
+def test_ep_fds_sweeps_take_one_spectral_iteration():
+    # The spectral preconditioner is the exact inverse of ep-fds' operator
+    p = get_problem("ring")
+    reports = []
+    run(p, p.grid(64), TimeGrid(0.5, 3), scheme="ep-fds",
+        recorders=(lambda k, st: reports.extend(st.reports),))
+    assert len(reports) > 3
+    assert {(r.iterations, r.preconditioner) for r in reports} == {(1, "spectral")}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_reported_residuals_are_true_and_meet_their_targets(scheme, monkeypatch):
+    # tau/h 4.6: every solve goes spectral and is judged on its true residual
+    p = get_problem("ring")
+    g = p.grid(128)
+    solves = []
+    pcg_solve = schemes.pcg_solve
+
+    def recording(op, rhs, tol, **kwargs):
+        rhs = rhs.copy()
+        x, report = pcg_solve(op, rhs, tol=tol, **kwargs)
+        solves.append((op, rhs, tol, x.copy(), report))
+        return x, report
+
+    monkeypatch.setattr(schemes, "pcg_solve", recording)
+    run(p, g, TimeGrid(1.0, 3), scheme=scheme)
+    assert len(solves) >= 3
+    for op, rhs, tol, x, report in solves:
+        true = g.l2(rhs - op.apply(x))
+        assert report.converged and report.preconditioner == "spectral"
+        assert report.final_residual == pytest.approx(true, rel=1e-12, abs=0)
+        assert report.final_residual <= tol * max(1.0, g.l2(rhs))

@@ -17,9 +17,11 @@ both schemes always get the same class of solver on one configuration:
   *Jacobi* diagonal, which wins there: an FFT pair costs more than the few
   cheap iterations it saves.
 
-On the spectral path a solve accepts its result only after checking the true
-residual ``rhs - A x``; that is the residual it reports.  ``numpy.fft`` is
-imported on first use of the spectral path only, so Jacobi runs never load it.
+On large steps, ``tau^2 (1/h1^2 + 1/h2^2) >= 0.5`` (``tau^2/h1^2`` in 1D: the
+rule that selects the spectral path), a solve on either path accepts its
+result only after checking the true residual ``rhs - A x``, and reports it.
+``numpy.fft`` is imported on first use of the spectral path only, so Jacobi
+runs never load it.
 
 Both boundary modes share the operator and the solver.  On Dirichlet-exact
 grids the unknowns are the interior nodes: the caller lifts the known edge
@@ -37,13 +39,13 @@ no memory with them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
 from .grid import Boundary, Grid
-# Unused here; perfbench traces `sinegordon.linear_solver.laplacian`.
-from .operators import laplacian  # noqa: F401
+# `laplacian` is unused here; perfbench traces `sinegordon.linear_solver.laplacian`.
+from .operators import add_y_neighbour_sum, laplacian, x_neighbour_sum  # noqa: F401
 
 
 class NumericalError(RuntimeError):
@@ -58,8 +60,9 @@ class NonConvergenceError(NumericalError):
 class SolveReport:
     """One CG solve: its iterations, final residual and preconditioner.
 
-    ``preconditioner`` is ``"jacobi"`` or ``"spectral"``; on the spectral path
-    ``final_residual`` is the true residual ``l2(rhs - A x)``.
+    ``preconditioner`` is ``"jacobi"`` or ``"spectral"``.  On large steps
+    (see the module docstring) ``final_residual`` is the true residual
+    ``l2(rhs - A x)``, on either path.
     """
 
     iterations: int
@@ -90,15 +93,22 @@ def _workspace(shape: tuple[int, int]) -> tuple[np.ndarray, ...]:
 #   200²  0.5     9.6     8.9
 #
 # ep-fds gains more (one iteration per sweep): 23.5 -> 17.8 ms at 200²/0.5.
-# In 1D the FFT lost or tied up to tau/h 4, so 1D grids stay on Jacobi.
-_SPECTRAL_MIN_RATIO = 0.5
+# In 1D the FFT lost or tied up to tau/h 4, so 1D grids stay on Jacobi.  The
+# same value marks the large steps whose solves check their true residual.
+_LARGE_STEP_RATIO = 0.5
+
+
+def _is_large_step(grid: Grid, tau: float) -> bool:
+    """Whether ``tau^2 (1/h1^2 + 1/h2^2)`` (``tau^2/h1^2`` in 1D) reaches 0.5."""
+    inv_h_sq = 1.0 / grid.h1**2
+    if not grid.is_1d:
+        inv_h_sq += 1.0 / grid.h2**2
+    return tau * tau * inv_h_sq >= _LARGE_STEP_RATIO
 
 
 def _is_spectral(grid: Grid, tau: float) -> bool:
     """Whether solves on ``(grid, tau)`` use the spectral preconditioner."""
-    if grid.boundary is not Boundary.PERIODIC or grid.is_1d:
-        return False
-    return tau * tau * (1.0 / grid.h1**2 + 1.0 / grid.h2**2) >= _SPECTRAL_MIN_RATIO
+    return grid.boundary is Boundary.PERIODIC and not grid.is_1d and _is_large_step(grid, tau)
 
 
 @lru_cache(maxsize=1)
@@ -147,19 +157,20 @@ class SystemOperator:
     """The implicit-step system ``A = I - (tau^2/4)*Lap + (tau^2/8)*diag(d)^2``.
 
     ``d`` is the coupling coefficient evaluated at the predicted half-step
-    field, one value per node.  The Laplacian reads zeros past the high edges
-    of a Dirichlet-exact grid and zeroes the pinned low-edge ring of its
-    output, so there ``A`` maps fields that are zero on the ring to fields
-    that are zero on it: the system of the interior unknowns with homogeneous
-    edge data.
+    field, one value per node; None means ``d = 0`` (the ep-fds system), which
+    needs no field.  The Laplacian reads zeros past the high edges of a
+    Dirichlet-exact grid and zeroes the pinned low-edge ring of its output, so
+    there ``A`` maps fields that are zero on the ring to fields that are zero
+    on it: the system of the interior unknowns with homogeneous edge data.
     """
 
     grid: Grid
     tau: float
-    d: np.ndarray
+    d: np.ndarray | None = None
 
     def __post_init__(self):
-        self.grid.check_field(self.d, "d")
+        if self.d is not None:
+            self.grid.check_field(self.d, "d")
         if self.tau < 0:
             raise ValueError("tau must be nonnegative")
 
@@ -179,7 +190,8 @@ class SystemOperator:
 
         The result is written into ``out`` (a float field on the grid that
         does not overlap ``w``) and returned; without ``out`` a new field is
-        returned.  The neighbour sums go through the workspace's scratch
+        returned.  The neighbour sums are the kernels of
+        :mod:`~sinegordon.operators`, written into the workspace's scratch
         field, so no temporary field is allocated.
         """
         grid = self.grid
@@ -190,40 +202,21 @@ class SystemOperator:
             grid.check_field(out, "out")
             if np.may_share_memory(out, w):
                 raise ValueError("out must not overlap w")
-        s = _workspace(grid.shape)[3]
-        periodic = grid.boundary is Boundary.PERIODIC
+        s = x_neighbour_sum(grid, w, None, _workspace(grid.shape)[3])
         t2 = self.tau * self.tau
         bx = 0.25 * t2 / grid.h1**2
-
-        # x-neighbour sums along the flattened field, which reads contiguous
-        # memory; the two edge columns, whose flat neighbours lie in other
-        # rows, are redone after it.
-        wf = w.reshape(-1)
-        np.add(wf[2:], wf[:-2], out=s.reshape(-1)[1:-1])
-        if periodic:
-            np.add(w[:, 0], w[:, -2], out=s[:, -1])
-            np.add(w[:, 1], w[:, -1], out=s[:, 0])
-        else:
-            s[:, -1] = w[:, -2]
-            s[:, 0] = w[:, 1]
         if grid.is_1d:
             s *= bx
         else:
             by = 0.25 * t2 / grid.h2**2
             if bx != by:
                 s *= bx / by
-            s[1:-1] += w[2:]
-            s[1:-1] += w[:-2]
-            s[-1] += w[-2]
-            s[0] += w[1]
-            if periodic:
-                s[-1] += w[0]
-                s[0] += w[-1]
+            add_y_neighbour_sum(grid, w, None, s)
             s *= by
         np.multiply(self._excess, w, out=out)
         out -= s
         out += w
-        if not periodic:
+        if grid.boundary is not Boundary.PERIODIC:
             out[0, :] = 0.0
             out[:, 0] = 0.0
         return out
@@ -236,34 +229,32 @@ class SystemOperator:
         """
         return self.apply(np.where(self.grid.interior_mask, w, 0.0))
 
-    def diagonal(self) -> np.ndarray:
-        """Exact matrix diagonal ``1 + e``, used as the Jacobi preconditioner."""
+    def diagonal(self) -> np.ndarray | float:
+        """Exact matrix diagonal ``1 + e``, the Jacobi preconditioner; a float without ``d``."""
         return self._excess + 1.0
 
     @cached_property
-    def _excess(self) -> np.ndarray:
+    def _excess(self) -> np.ndarray | float:
         """The diagonal less the identity, ``(tau^2/8)*d^2 + 2*bx + 2*by``, once per operator.
 
         The y-Laplacian contributes nothing in 1D mode because both neighbors
-        wrap onto the node itself.
+        wrap onto the node itself.  Without ``d`` it is the float ``2*bx + 2*by``.
         """
         t2 = self.tau * self.tau
-        e = self.d * self.d
-        e *= 0.125 * t2
+        if self.d is None:
+            e = 0.0
+        else:
+            e = self.d * self.d
+            e *= 0.125 * t2
         e += 0.5 * t2 / self.grid.h1**2
-        if self.grid.n2 > 1:
+        if not self.grid.is_1d:
             e += 0.5 * t2 / self.grid.h2**2
         return e
 
     @cached_property
-    def _jacobi(self) -> np.ndarray:
-        """:meth:`diagonal`, computed once per operator for every solve on it."""
+    def _jacobi(self) -> np.ndarray | float:
+        """:meth:`diagonal`, computed on the first Jacobi solve and kept for every later one."""
         return self.diagonal()
-
-
-def default_max_iter(grid: Grid) -> int:
-    """10 * sqrt(node count), bounding pathological solves."""
-    return max(10, int(10 * np.sqrt(grid.num_nodes)))
 
 
 def pcg_solve(
@@ -276,18 +267,20 @@ def pcg_solve(
 ) -> tuple[np.ndarray, SolveReport]:
     """Solve ``op @ x = rhs`` by preconditioned CG on the grid inner product.
 
-    The preconditioner is spectral on periodic 2D grids with ``tau^2 (1/h1^2
-    + 1/h2^2) >= 0.5`` and Jacobi elsewhere (see the module docstring); the
-    report names it.  The solve stops when ``l2(rhs - A x) <= tol * max(1,
-    l2(rhs))``.  On the Jacobi path that is judged on the recursively updated
-    residual.  On the spectral path, once the recursive residual meets the
-    target, the true residual is recomputed with one ``op.apply``: the solve
-    returns only if it meets the target too, and reports it.  Otherwise it
-    replaces the recursive residual and the search restarts from it (``p =
-    z``); a replaced residual that no longer decreases means the solve has
-    stagnated above the target, and :class:`NonConvergenceError` is raised,
-    naming the true and the recursive residual.  It is raised too after
-    ``max_iter`` iterations (default :func:`default_max_iter`).
+    The preconditioner is spectral on periodic 2D grids with ``tau^2 (1/h1^2 +
+    1/h2^2) >= 0.5`` and Jacobi elsewhere (see the module docstring); the
+    report names it.  Only the chosen preconditioner is built: the Jacobi
+    diagonal is computed (once per operator) on the Jacobi path alone.  The
+    solve stops when ``l2(rhs - A x) <= tol * max(1, l2(rhs))``.  On small
+    steps that is judged on the recursively updated residual.  On large steps
+    (see the module docstring), on either path, once the recursive residual
+    meets the target, the true residual is recomputed with one ``op.apply``:
+    the solve returns only if it meets the target too, and reports it.
+    Otherwise it replaces the recursive residual and the search restarts from
+    it (``p = z``); a replaced residual that no longer decreases means the
+    solve has stagnated above the target, and :class:`NonConvergenceError` is
+    raised, naming the true and the recursive residual.  It is raised too after
+    ``max_iter`` iterations (default ``10 * sqrt(node count)``, at least 10).
 
     ``callback`` receives the live iterate after each update, for
     convergence-history tests; the solve keeps updating that array in place,
@@ -313,12 +306,16 @@ def pcg_solve(
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iter is None:
-        max_iter = default_max_iter(grid)
-    diag = op._jacobi
-    spectral = None
+        max_iter = max(10, int(10 * np.sqrt(grid.num_nodes)))
     if _is_spectral(grid, op.tau):
-        spectral = _spectral(grid.shape, grid.h1, grid.h2, op.tau)
-    name = "jacobi" if spectral is None else "spectral"
+        name = "spectral"
+        precondition = partial(_spectral_solve, _spectral(grid.shape, grid.h1, grid.h2, op.tau))
+    else:
+        name, diag = "jacobi", op._jacobi
+
+        def precondition(r, out):
+            return np.divide(r, diag, out=out)
+    check_true = _is_large_step(grid, op.tau)
     r, p, q, prod = _workspace(grid.shape)
 
     def inner(a, b):
@@ -340,10 +337,7 @@ def pcg_solve(
     if res <= target:
         return x, SolveReport(0, res, True, name)
 
-    if spectral is None:
-        np.divide(r, diag, out=q)
-    else:
-        _spectral_solve(spectral, r, q)
+    precondition(r, q)
     np.copyto(p, q)
     rz = inner(r, q)
     for k in range(1, max_iter + 1):
@@ -358,7 +352,7 @@ def pcg_solve(
             raise NonConvergenceError(f"non-finite residual at iteration {k}")
         restart = False
         if res <= target:
-            if spectral is None:
+            if not check_true:
                 return x, SolveReport(k, res, True, name)
             recursive = res
             op.apply(x, out=q)
@@ -373,10 +367,7 @@ def pcg_solve(
                 )
             replaced = res
             restart = True
-        if spectral is None:
-            np.divide(r, diag, out=q)
-        else:
-            _spectral_solve(spectral, r, q)
+        precondition(r, q)
         rz_new = inner(r, q)
         if restart:
             np.copyto(p, q)

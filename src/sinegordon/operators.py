@@ -1,10 +1,11 @@
 """Finite-difference and averaging operators, plus the quadratized nonlinearity.
 
 All spatial operators are forward differences (or the 5-point Laplacian built
-from them) with the boundary mode resolved per grid: periodic grids wrap,
-Dirichlet-exact grids read supplied edge values at the high boundary.  Reads
-one node below the pinned low edge never occur in the schemes; centered
-outputs on that ring are zeroed and documented as not meaningful.
+from them) with the boundary mode resolved in :func:`_high_edge`: periodic
+grids wrap, Dirichlet-exact grids read supplied edge values at the high
+boundary.  Reads one node below the pinned low edge never occur in the
+schemes; centered outputs on that ring are zeroed and documented as not
+meaningful.
 """
 
 from __future__ import annotations
@@ -33,39 +34,63 @@ class BoundaryValues:
         return BoundaryValues(np.zeros(grid.n2), np.zeros(grid.n1))
 
 
-def _bv(grid: Grid, bv: BoundaryValues | None) -> BoundaryValues:
-    return BoundaryValues.zeros(grid) if bv is None else bv
+def _high_edge(grid: Grid, U: np.ndarray, bv: BoundaryValues | None, axis: int):
+    """The 1-D line read one node past the high edge along ``axis``.
 
-
-def shift_x_plus(grid: Grid, U: np.ndarray, bv: BoundaryValues | None = None) -> np.ndarray:
-    """Neighbor field ``U[j1+1, j2]`` with the boundary mode resolving ``j1 = n1``."""
+    The first line of ``U`` when periodic, else ``bv.right`` (x) or
+    ``bv.top`` (y), or a read-only line of zeros when ``bv`` is None.
+    """
     if grid.boundary is Boundary.PERIODIC:
-        return np.roll(U, -1, axis=1)
-    out = np.empty_like(U)
-    out[:, :-1] = U[:, 1:]
-    out[:, -1] = _bv(grid, bv).right
+        return U[:, 0] if axis == 1 else U[0]
+    if bv is None:
+        return np.broadcast_to(0.0, U.shape[1 - axis])
+    return bv.right if axis == 1 else bv.top
+
+
+def x_neighbour_sum(grid: Grid, U: np.ndarray, bv: BoundaryValues | None,
+                    out: np.ndarray) -> np.ndarray:
+    """``U[j1+1] + U[j1-1]`` at every node, stored into ``out`` and returned.
+
+    The sum runs along the flattened field, which reads contiguous memory;
+    the two edge columns, whose flat neighbours lie in other rows, are redone
+    after it.  On Dirichlet-exact grids the pinned low column reads zero past
+    the edge.  ``out`` is a C-contiguous field that does not overlap ``U``.
+    """
+    Uf = U.reshape(-1)
+    np.add(Uf[2:], Uf[:-2], out=out.reshape(-1)[1:-1])
+    np.add(_high_edge(grid, U, bv, 1), U[:, -2], out=out[:, -1])
+    if grid.boundary is Boundary.PERIODIC:
+        np.add(U[:, 1], U[:, -1], out=out[:, 0])
+    else:
+        out[:, 0] = U[:, 1]
     return out
 
 
-def shift_y_plus(grid: Grid, U: np.ndarray, bv: BoundaryValues | None = None) -> np.ndarray:
+def add_y_neighbour_sum(grid: Grid, U: np.ndarray, bv: BoundaryValues | None,
+                        out: np.ndarray) -> None:
+    """Add ``U[j2+1] + U[j2-1]`` at every node into ``out``; the edges read as along x.
+
+    Not for 1D grids, where both y-neighbours are the node itself.
+    """
+    out[1:-1] += U[2:]
+    out[1:-1] += U[:-2]
+    out[-1] += _high_edge(grid, U, bv, 0)
+    out[-1] += U[-2]
+    out[0] += U[1]
     if grid.boundary is Boundary.PERIODIC:
-        return np.roll(U, -1, axis=0)
-    out = np.empty_like(U)
-    out[:-1, :] = U[1:, :]
-    out[-1, :] = _bv(grid, bv).top
-    return out
+        out[0] += U[-1]
 
 
 def delta_x(grid: Grid, U: np.ndarray, bv: BoundaryValues | None = None) -> np.ndarray:
     """Forward x-difference ``(U[j1+1] - U[j1]) / h1``."""
-    grid.check_field(U)
-    return (shift_x_plus(grid, U, bv) - U) / grid.h1
+    U = grid.check_field(U)
+    return np.diff(U, axis=1, append=_high_edge(grid, U, bv, 1)[:, None]) / grid.h1
 
 
 def delta_y(grid: Grid, U: np.ndarray, bv: BoundaryValues | None = None) -> np.ndarray:
     """Forward y-difference ``(U[j2+1] - U[j2]) / h2``; identically zero in 1D mode."""
-    grid.check_field(U)
-    return (shift_y_plus(grid, U, bv) - U) / grid.h2
+    U = grid.check_field(U)
+    return np.diff(U, axis=0, append=_high_edge(grid, U, bv, 0)[None]) / grid.h2
 
 
 def laplacian(
@@ -75,13 +100,11 @@ def laplacian(
 
     ``out`` (a C-contiguous float field on ``grid`` that does not overlap
     ``U``) receives the result and is returned; otherwise a new field is.
-    Slice views do all the work, so no temporary field is allocated.  Each
-    axis stores or adds its neighbor sum and then subtracts ``U`` twice,
-    which maps constants to exactly zero; in 2D the x-part is scaled by
-    ``h2^2/h1^2`` before the y-part joins it and the sum is divided by
-    ``h2^2``.  The x-neighbor sum runs along the flattened field, which reads
-    contiguous memory; the two edge columns, whose flat neighbors lie in
-    other rows, are redone after it.
+    The neighbour sums write into ``out`` through slice views, so no
+    temporary field is allocated.  Each axis stores or adds its neighbour sum
+    and then subtracts ``U`` twice, which maps constants to exactly zero; in
+    2D the x-part is scaled by ``h2^2/h1^2`` before the y-part joins it and
+    the sum is divided by ``h2^2``.
 
     In 1D mode the y-term is skipped: both y-neighbors are the node itself.
     On Dirichlet-exact grids the high-edge neighbors are read from ``bv``
@@ -97,17 +120,8 @@ def laplacian(
             raise ValueError("out must not overlap U")
         if not out.flags.c_contiguous:
             raise ValueError("out must be C-contiguous")
-    periodic = grid.boundary is Boundary.PERIODIC
-    if not periodic:
-        bv = _bv(grid, bv)
 
-    Uf = U.reshape(-1)
-    np.add(Uf[2:], Uf[:-2], out=out.reshape(-1)[1:-1])
-    np.add(U[:, 0] if periodic else bv.right, U[:, -2], out=out[:, -1])
-    if periodic:
-        np.add(U[:, 1], U[:, -1], out=out[:, 0])
-    else:
-        out[:, 0] = U[:, 1]  # the pinned ring: its low neighbor reads as zero
+    x_neighbour_sum(grid, U, bv, out)
     out -= U
     out -= U
     if grid.is_1d:
@@ -115,17 +129,11 @@ def laplacian(
         return out
 
     out *= grid.h2**2 / grid.h1**2
-    out[1:-1] += U[2:]
-    out[1:-1] += U[:-2]
-    out[-1] += U[0] if periodic else bv.top
-    out[-1] += U[-2]
-    out[0] += U[1]
-    if periodic:
-        out[0] += U[-1]
+    add_y_neighbour_sum(grid, U, bv, out)
     out -= U
     out -= U
     out /= grid.h2**2
-    if not periodic:
+    if grid.boundary is not Boundary.PERIODIC:
         out[0, :] = 0.0
         out[:, 0] = 0.0
     return out

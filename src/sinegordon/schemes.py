@@ -242,12 +242,6 @@ def _cos_quotient(
 
 
 @lru_cache(maxsize=1)
-def _constant_operator(grid: Grid, tau: float) -> SystemOperator:
-    """The ep-fds system ``I - (tau^2/4) Lap``, shared by every step of a run."""
-    return SystemOperator(grid, tau, np.zeros(grid.shape))
-
-
-@lru_cache(maxsize=1)
 def _sweep_fields(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Two work fields of the ep-fds sweeps on one grid shape, kept across steps."""
     return np.empty(shape), np.empty(shape)
@@ -278,7 +272,7 @@ def ep_fds_step(
     u, v = state.u, state.v
     t_new = state.t + tau
     t2 = tau * tau
-    op = _constant_operator(grid, tau)
+    op = SystemOperator(grid, tau)
 
     # The constant part of the right-hand side and one of the two quotients
     # live in the new level's v and r fields until the sweeps end; the

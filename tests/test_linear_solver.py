@@ -104,17 +104,51 @@ def test_diagonal_matches_dense():
     np.testing.assert_allclose(op.diagonal().ravel(), np.diag(A), rtol=1e-13)
 
 
-def test_diagonal_computed_once_per_operator(monkeypatch):
-    g = make_grid(0, 1, 0, 1, n1=8, n2=8)
-    op = random_operator(g, 0.1, seed=3)
+def count_diagonals(monkeypatch):
     calls = []
     diagonal = SystemOperator.diagonal
     monkeypatch.setattr(SystemOperator, "diagonal",
                         lambda self: calls.append(self) or diagonal(self))
+    return calls
+
+
+def test_diagonal_computed_once_per_operator(monkeypatch):
+    g = make_grid(0, 1, 0, 1, n1=8, n2=8)
+    op = random_operator(g, 0.01, seed=3)
+    calls = count_diagonals(monkeypatch)
     rng = np.random.default_rng(4)
     for _ in range(3):
-        pcg_solve(op, rng.normal(size=g.shape))
+        assert pcg_solve(op, rng.normal(size=g.shape))[1].preconditioner == "jacobi"
     assert len(calls) == 1
+
+
+def test_spectral_solves_compute_no_diagonal(monkeypatch):
+    g = make_grid(0, 1, 0, 1, n1=8, n2=8)
+    op = random_operator(g, 0.1, seed=3)
+    calls = count_diagonals(monkeypatch)
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        assert pcg_solve(op, rng.normal(size=g.shape))[1].preconditioner == "spectral"
+    assert calls == []
+
+
+@pytest.mark.parametrize("grid,tau", [
+    (make_grid(0, 1, 0, 2, n1=9, n2=7), 0.01), (make_grid(0, 1, 0, 2, n1=9, n2=7), 0.5),
+    (make_grid_1d(0, 3, 7), 0.3), (get_problem("line-kink-2d").grid(9, 7), 2.0),
+], ids=["jacobi-9x7", "spectral-9x7", "1d-7", "dirichlet-9x7"])
+def test_operator_without_d_matches_zero_d(grid, tau):
+    bare, zero = SystemOperator(grid, tau), SystemOperator(grid, tau, np.zeros(grid.shape))
+    rng = np.random.default_rng(45)
+    w, rhs = np.where(grid.interior_mask, rng.normal(size=(2, *grid.shape)), 0.0)
+    np.testing.assert_array_equal(bare.apply(w), zero.apply(w))
+    x, report = pcg_solve(bare, rhs)
+    x0, report0 = pcg_solve(zero, rhs)
+    np.testing.assert_array_equal(x, x0)
+    assert report == report0
+    # the diagonal does not depend on the boundary mode
+    assert isinstance(bare.diagonal(), float)
+    assert np.all(np.diag(dense_system_matrix(grid, tau, np.zeros(grid.shape)))
+                  == bare.diagonal())
 
 
 def test_callback_sees_one_iterate_updated_in_place():

@@ -6,7 +6,6 @@ import pytest
 from sinegordon import (Boundary, BoundaryValues, coupling, coupling_prime,
                         coupling_second, delta_x, delta_y, extrapolate_half_step,
                         laplacian, make_grid, make_grid_1d, time_average)
-from sinegordon.operators import shift_x_plus, shift_y_plus
 
 from oracles import centered_derivative, dense_laplacian_periodic
 
@@ -138,9 +137,9 @@ def test_discrete_product_rule():
     g = make_grid(0, 1, 0, 1, n1=16, n2=12)
     U = rng.normal(size=g.shape)
     V = rng.normal(size=g.shape)
-    for delta, shift in ((delta_x, shift_x_plus), (delta_y, shift_y_plus)):
-        avg_u = 0.5 * (shift(g, U) + U)
-        avg_v = 0.5 * (shift(g, V) + V)
+    for delta, axis in ((delta_x, 1), (delta_y, 0)):
+        avg_u = 0.5 * (np.roll(U, -1, axis=axis) + U)
+        avg_v = 0.5 * (np.roll(V, -1, axis=axis) + V)
         lhs = delta(g, U * V)
         rhs = avg_u * delta(g, V) + delta(g, U) * avg_v
         tol = 8 * np.finfo(float).eps * (np.abs(lhs) + np.abs(avg_u * delta(g, V))
@@ -298,11 +297,15 @@ def slice_laplacian(grid, U, bv=None):
     return out
 
 
-@pytest.mark.parametrize("grid", [
+BIT_GRIDS = [
     make_grid(0, 1, 0, 2, n1=9, n2=7), make_grid(0, 1, 0, 2, n1=2, n2=5),
     make_grid_1d(0, 3, 7),
     make_grid(0, 1, 0, 2, n1=9, n2=7, boundary=Boundary.DIRICHLET_EXACT),
-], ids=["9x7", "2x5", "1d-7", "dirichlet-9x7"])
+]
+BIT_IDS = ["9x7", "2x5", "1d-7", "dirichlet-9x7"]
+
+
+@pytest.mark.parametrize("grid", BIT_GRIDS, ids=BIT_IDS)
 def test_laplacian_bit_identical_to_the_slice_formula(grid):
     rng = np.random.default_rng(50)
     U = rng.normal(size=grid.shape)
@@ -324,3 +327,37 @@ def test_laplacian_into_out_allocates_no_buffers():
     finally:
         tracemalloc.stop()
     assert peak < 1024  # slice view objects only; a row of U is 1600 bytes
+
+
+def shift_delta(grid, U, axis, bv=None):
+    """The forward difference through a shifted copy of ``U`` (``np.roll`` when periodic)."""
+    if grid.boundary is Boundary.PERIODIC:
+        shifted = np.roll(U, -1, axis=axis)
+    else:
+        if bv is None:
+            bv = BoundaryValues.zeros(grid)
+        shifted = np.empty_like(U)
+        if axis == 1:
+            shifted[:, :-1] = U[:, 1:]
+            shifted[:, -1] = bv.right
+        else:
+            shifted[:-1, :] = U[1:, :]
+            shifted[-1, :] = bv.top
+    return (shifted - U) / (grid.h1 if axis == 1 else grid.h2)
+
+
+@pytest.mark.parametrize("grid", BIT_GRIDS, ids=BIT_IDS)
+def test_forward_differences_bit_identical_to_the_shift_formula(grid):
+    rng = np.random.default_rng(52)
+    U = rng.normal(size=grid.shape)
+    U[0, 1] = -0.0
+    U[-1, -1] = 0.0
+    bvs = [None]
+    if grid.boundary is Boundary.DIRICHLET_EXACT:
+        bvs.append(BoundaryValues(rng.normal(size=grid.n2), rng.normal(size=grid.n1)))
+    for bv in bvs:
+        for delta, axis in ((delta_x, 1), (delta_y, 0)):
+            got, ref = delta(grid, U, bv), shift_delta(grid, U, axis, bv)
+            assert got.shape == ref.shape
+            # sign bits included: compare the raw bit patterns
+            np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))

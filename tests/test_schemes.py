@@ -1,10 +1,12 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from sinegordon import (SCHEMES, BoundaryValues, DirichletBoundary, NumericalError,
-                        Problem, SchemeState, TimeGrid, Boundary, coupling,
+from sinegordon import (SCHEMES, BoundaryValues, DirichletBoundary, NonConvergenceError,
+                        NumericalError, Problem, SchemeState, TimeGrid, Boundary, coupling,
                         ep_fds_step, error_vs_exact, get_problem,
                         global_energy_original, init_state, li_leps_first_step,
                         li_leps_step, make_grid, make_grid_1d, run)
@@ -225,18 +227,64 @@ class TestEpFdsStep:
         with pytest.raises(NumericalError):
             ep_fds_step(st, 0.01, fp_max=0)
 
-    def test_one_operator_per_run(self, monkeypatch):
-        from sinegordon import schemes
-        from sinegordon.linear_solver import SystemOperator
-        calls = []
-        diagonal = SystemOperator.diagonal
-        monkeypatch.setattr(SystemOperator, "diagonal",
-                            lambda self: calls.append(self) or diagonal(self))
-        schemes._constant_operator.cache_clear()
-        p = get_problem("ring")
-        result = run(p, p.grid(40), TimeGrid(0.05, 100), scheme="ep-fds")
-        assert result.fp_sweeps > 100
-        assert len(calls) == 1
+    @pytest.mark.parametrize("problem,n,tau,preconditioner", [
+        ("ring", 40, 0.01, "jacobi"), ("ring", 40, 0.5, "spectral"),
+        ("line-kink-2d", 16, 0.05, "jacobi"),
+    ], ids=["ring-jacobi", "ring-spectral", "line-kink"])
+    def test_run_keeps_no_grid_alive(self, problem, n, tau, preconditioner):
+        p = get_problem(problem)
+        grid = p.grid(n)
+        alive = weakref.ref(grid)
+        result = run(p, grid, TimeGrid(tau, 3), scheme="ep-fds")
+        assert result.fp_sweeps >= 3 and result.preconditioner == preconditioner
+        del grid, result
+        gc.collect()
+        assert alive() is None
+
+
+class TestLargeStepSolves:
+    """Solves on large steps report their true residual, or raise."""
+
+    @pytest.fixture
+    def checked_solves(self, monkeypatch):
+        """Record ``(report, l2(rhs - A x), target)`` for every solve the steppers make."""
+        checked = []
+        solve = schemes.pcg_solve
+
+        def checking_solve(op, rhs, tol=1e-14, **kwargs):
+            x, report = solve(op, rhs, tol=tol, **kwargs)
+            g = op.grid
+            checked.append((report, g.l2(rhs - op.apply(x)), tol * max(1.0, g.l2(rhs))))
+            return x, report
+
+        monkeypatch.setattr(schemes, "pcg_solve", checking_solve)
+        return checked
+
+    # Jacobi solves (1D and Dirichlet grids) far past tau^2/h^2 = 0.5.  At
+    # tau/h 10 on line-kink (tau 2.19) ep-fds' fixed-point iteration itself
+    # diverges, so it runs at tau/h 4 there.
+    @pytest.mark.parametrize("scheme,problem,n,tau_over_h", [
+        ("li-leps", "double-pole-1d", 1600, 8), ("ep-fds", "double-pole-1d", 1600, 8),
+        ("li-leps", "line-kink-2d", 64, 10), ("ep-fds", "line-kink-2d", 64, 4),
+    ])
+    def test_reports_true_residuals_within_target(self, checked_solves, scheme, problem, n,
+                                                  tau_over_h):
+        p = get_problem(problem)
+        g = p.grid(n)
+        run(p, g, TimeGrid(tau_over_h * g.h1, 5), scheme=scheme)
+        assert len(checked_solves) >= 5
+        for report, true, target in checked_solves:
+            assert report.preconditioner == "jacobi" and report.converged
+            assert report.final_residual == true
+            assert true <= target
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_unreachable_target_raises(self, scheme):
+        # At tau/h 16 the true residual stalls just above 1e-14 * l2(rhs).
+        p = get_problem("double-pole-1d")
+        g = p.grid(3200)
+        with pytest.raises(NonConvergenceError, match=r"true residual .*recursive"):
+            run(p, g, TimeGrid(16 * g.h1, 5), scheme=scheme)
 
 
 class TestCosQuotient:

@@ -152,7 +152,3 @@ def make_grid(
         raise ValueError("y_lo and y_hi are required for 2D grids")
     return Grid(float(x_lo), float(x_hi), float(y_lo), float(y_hi), int(n1), int(n2), boundary)
 
-
-def make_grid_1d(x_lo: float, x_hi: float, n: int, boundary: Boundary = Boundary.PERIODIC) -> Grid:
-    """1D convenience wrapper: y collapses to a single row of unit extent."""
-    return make_grid(x_lo, x_hi, n1=n, n2=1, boundary=boundary)

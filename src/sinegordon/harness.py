@@ -26,9 +26,9 @@ import numpy as np
 from . import __version__
 from .diagnostics import EnergyRecorder, error_vs_exact, convergence_orders
 from .grid import Grid
-from .linear_solver import NumericalError
+from .linear_solver import CG_TOL, NumericalError
 from .problems import PROBLEMS, Problem, get_problem, mirror_field
-from .schemes import SCHEMES, TimeGrid, run
+from .schemes import FP_MAX, FP_TOL, SCHEMES, RunResult, TimeGrid, run
 
 
 class ConfigError(Exception):
@@ -46,9 +46,9 @@ class RunConfig:
     record_every: int = 1
     snap_times: tuple[float, ...] = ()
     out_dir: str = "out"
-    cg_tol: float = 1e-14
-    fp_tol: float = 1e-14
-    fp_max: int = 50
+    cg_tol: float = CG_TOL
+    fp_tol: float = FP_TOL
+    fp_max: int = FP_MAX
     transform: bool = False
     mirror: bool = False
 
@@ -157,6 +157,17 @@ def _write_meta(out: Path, command: str, config: dict, extra: dict,
     return 0 if failure is None else 1
 
 
+def _solver_stats(result: RunResult) -> dict:
+    """The solver totals of one run, as ``meta.json`` records them."""
+    return {
+        "wall_seconds_stepping": result.wall_seconds,
+        "cg_iterations": result.cg_iterations,
+        "cg_iterations_max": result.cg_iterations_max,
+        "fp_sweeps": result.fp_sweeps,
+        "preconditioner": result.preconditioner,
+    }
+
+
 class _SnapshotRecorder:
     def __init__(self, steps: dict[int, float]):
         self.steps = steps
@@ -198,13 +209,7 @@ def cmd_run(cfg: RunConfig) -> int:
 
     extra = {"n_steps": time_grid.m, "h1": grid.h1, "h2": grid.h2}
     if result is not None:
-        extra.update({
-            "wall_seconds_stepping": result.wall_seconds,
-            "cg_iterations": result.cg_iterations,
-            "cg_iterations_max": result.cg_iterations_max,
-            "fp_sweeps": result.fp_sweeps,
-            "preconditioner": result.preconditioner,
-        })
+        extra.update(_solver_stats(result))
     return _write_meta(out, "run", asdict(cfg), extra, failure)
 
 
@@ -279,10 +284,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         if failure is not None:
             break
         cpu_rows.append((scheme, grid.num_nodes, result.wall_seconds))
-        solver_stats[scheme] = {"cg_iterations": result.cg_iterations,
-                                "fp_sweeps": result.fp_sweeps,
-                                "preconditioner": result.preconditioner,
-                                "wall_seconds_stepping": result.wall_seconds}
+        solver_stats[scheme] = _solver_stats(result)
 
     with open(out / "cpu.csv", "w", newline="") as fh:
         w = csv.writer(fh)
@@ -321,9 +323,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--out", default="out")
     p.add_argument("--record-every", type=int, default=1)
-    p.add_argument("--cg-tol", type=float, default=1e-14)
-    p.add_argument("--fp-tol", type=float, default=1e-14)
-    p.add_argument("--fp-max", type=int, default=50)
+    p.add_argument("--cg-tol", type=float, default=RunConfig.cg_tol)
+    p.add_argument("--fp-tol", type=float, default=RunConfig.fp_tol)
+    p.add_argument("--fp-max", type=int, default=RunConfig.fp_max)
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:

@@ -56,6 +56,10 @@ class NonConvergenceError(NumericalError):
     """Raised when an iterative solve fails to reach its tolerance."""
 
 
+# Default relative residual target of every solve, step and run.
+CG_TOL = 1e-14
+
+
 @dataclass(frozen=True)
 class SolveReport:
     """One CG solve: its iterations, final residual and preconditioner.
@@ -260,7 +264,7 @@ class SystemOperator:
 def pcg_solve(
     op: SystemOperator,
     rhs: np.ndarray,
-    tol: float = 1e-14,
+    tol: float = CG_TOL,
     max_iter: int | None = None,
     x0: np.ndarray | None = None,
     callback=None,

@@ -29,10 +29,6 @@ class BoundaryValues:
     right: np.ndarray  # shape (n2,)
     top: np.ndarray    # shape (n1,)
 
-    @staticmethod
-    def zeros(grid: Grid) -> "BoundaryValues":
-        return BoundaryValues(np.zeros(grid.n2), np.zeros(grid.n1))
-
 
 def _high_edge(grid: Grid, U: np.ndarray, bv: BoundaryValues | None, axis: int):
     """The 1-D line read one node past the high edge along ``axis``.

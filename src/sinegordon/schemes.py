@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .grid import Boundary, Grid
-from .linear_solver import (NumericalError, SolveReport, SystemOperator,
+from .linear_solver import (CG_TOL, NumericalError, SolveReport, SystemOperator,
                             pcg_solve)
 from .operators import BoundaryValues, coupling, extrapolate_half_step, laplacian
 from .problems import DirichletBoundary, Problem
@@ -193,7 +193,7 @@ def _li_advance(state: SchemeState, tau: float, d: np.ndarray, cg_tol: float) ->
                        reports=(report,))
 
 
-def li_leps_step(state: SchemeState, tau: float, cg_tol: float = 1e-14) -> SchemeState:
+def li_leps_step(state: SchemeState, tau: float, cg_tol: float = CG_TOL) -> SchemeState:
     """Regular three-level step; the coupling is frozen at the extrapolated half step.
 
     Reads only ``state`` (its fields, previous level and edge data); the new
@@ -205,7 +205,7 @@ def li_leps_step(state: SchemeState, tau: float, cg_tol: float = 1e-14) -> Schem
     return _li_advance(state, tau, d, cg_tol)
 
 
-def li_leps_first_step(state: SchemeState, tau: float, cg_tol: float = 1e-14) -> SchemeState:
+def li_leps_first_step(state: SchemeState, tau: float, cg_tol: float = CG_TOL) -> SchemeState:
     """Bootstrap step at level 0: the coupling is frozen at the current field.
 
     Like :func:`li_leps_step`, it reads only ``state``.
@@ -241,6 +241,12 @@ def _cos_quotient(
     return out
 
 
+# Default ep-fds fixed point: sweep until the quotient lag is within FP_TOL
+# of the right-hand side's norm, for at most FP_MAX sweeps.
+FP_TOL = 1e-14
+FP_MAX = 50
+
+
 @lru_cache(maxsize=1)
 def _sweep_fields(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Two work fields of the ep-fds sweeps on one grid shape, kept across steps."""
@@ -250,9 +256,9 @@ def _sweep_fields(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
 def ep_fds_step(
     state: SchemeState,
     tau: float,
-    fp_tol: float = 1e-14,
-    fp_max: int = 50,
-    cg_tol: float = 1e-14,
+    fp_tol: float = FP_TOL,
+    fp_max: int = FP_MAX,
+    cg_tol: float = CG_TOL,
 ) -> SchemeState:
     """Fully implicit two-level energy-preserving step.
 
@@ -311,7 +317,9 @@ def ep_fds_step(
         if lag <= target:
             break
     else:
-        raise NumericalError(f"fixed-point iteration did not converge within {fp_max} sweeps")
+        last = f" (last lag {lag:.3e}, target {target:.3e})" if reports else ""
+        raise NumericalError(
+            f"fixed-point iteration did not converge within {fp_max} sweeps{last}")
 
     u_new = w
     if known is not None:
@@ -333,8 +341,6 @@ SCHEMES = ("li-leps", "ep-fds")
 @dataclass
 class RunResult:
     state: SchemeState
-    scheme: str
-    steps: int
     wall_seconds: float
     cg_iterations: int
     cg_iterations_max: int
@@ -348,9 +354,9 @@ def run(
     time_grid: TimeGrid,
     scheme: str = "li-leps",
     recorders: Sequence[Callable[[int, SchemeState], None]] = (),
-    cg_tol: float = 1e-14,
-    fp_tol: float = 1e-14,
-    fp_max: int = 50,
+    cg_tol: float = CG_TOL,
+    fp_tol: float = FP_TOL,
+    fp_max: int = FP_MAX,
 ) -> RunResult:
     """Integrate from t = 0 for ``time_grid.m`` steps.
 
@@ -358,7 +364,10 @@ def run(
     after every step; they filter their own cadence and may read the step's
     CG reports from ``state.reports``.  The solver totals of the result sum
     those reports.  The reported wall time covers the stepping work only, not
-    recorder evaluation, so scheme costs compare cleanly.
+    recorder evaluation, so scheme costs compare cleanly.  A
+    :class:`NumericalError` from a step is re-raised as the same type, its
+    message prefixed with the step index and the ``t`` of the level it was
+    producing.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
@@ -371,15 +380,17 @@ def run(
     wall = 0.0
     for k in range(1, time_grid.m + 1):
         tic = time.perf_counter()
-        if scheme == "li-leps":
-            if state.u_prev is None:
+        try:
+            if scheme == "ep-fds":
+                state = ep_fds_step(state, time_grid.tau, fp_tol=fp_tol, fp_max=fp_max,
+                                    cg_tol=cg_tol)
+                fp_sweeps += len(state.reports)
+            elif state.u_prev is None:
                 state = li_leps_first_step(state, time_grid.tau, cg_tol=cg_tol)
             else:
                 state = li_leps_step(state, time_grid.tau, cg_tol=cg_tol)
-        else:
-            state = ep_fds_step(state, time_grid.tau, fp_tol=fp_tol, fp_max=fp_max,
-                                cg_tol=cg_tol)
-            fp_sweeps += len(state.reports)
+        except NumericalError as exc:
+            raise type(exc)(f"step {k}, t={state.t + time_grid.tau:g}: {exc}") from exc
         wall += time.perf_counter() - tic
         reports.extend(state.reports)
         for rec in recorders:
@@ -387,8 +398,6 @@ def run(
 
     return RunResult(
         state=state,
-        scheme=scheme,
-        steps=time_grid.m,
         wall_seconds=wall,
         cg_iterations=sum(r.iterations for r in reports),
         cg_iterations_max=max((r.iterations for r in reports), default=0),

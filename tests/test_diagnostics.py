@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from sinegordon import (EnergyRecorder, SchemeState, TimeGrid, convergence_orders,
-                        ep_fds_step, error_vs_exact, get_problem,
-                        global_energy_modified, global_energy_original,
-                        init_state, li_leps_first_step, li_leps_step,
-                        local_energy_density, local_law_residual, make_grid,
+from sinegordon import (SchemeState, TimeGrid, convergence_orders, ep_fds_step,
+                        error_vs_exact, get_problem, global_energy_modified,
+                        global_energy_original, init_state, li_leps_first_step,
+                        li_leps_step, local_law_residual, make_grid,
                         original_law_residual, run)
+from sinegordon.diagnostics import EnergyRecorder, local_energy_density
 
 from oracles import pointwise_density
 

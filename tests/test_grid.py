@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sinegordon import Boundary, make_grid, make_grid_1d
+from sinegordon import Boundary, delta_x, make_grid
+from sinegordon.operators import delta_y, h1_norm
 
 from oracles import brute_force_inner
 
@@ -37,7 +38,7 @@ class TestMakeGrid:
 
     def test_rejects_dirichlet_1d(self):
         with pytest.raises(ValueError):
-            make_grid_1d(0, 1, 8, boundary=Boundary.DIRICHLET_EXACT)
+            make_grid(0, 1, n1=8, boundary=Boundary.DIRICHLET_EXACT)
 
     def test_interior_mask(self):
         gp = make_grid(0, 1, 0, 1, n1=4, n2=4)
@@ -55,7 +56,6 @@ class TestNormsAndInner:
         assert g.l2(U) == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_field(self):
-        from sinegordon import h1_norm
         g = make_grid(0, 1, 0, 1, n1=6, n2=6)
         Z = np.zeros(g.shape)
         assert g.l2(Z) == 0.0
@@ -64,7 +64,7 @@ class TestNormsAndInner:
 
     def test_l2_sine_against_direct_summation(self):
         # frozen from the independent summation oracle over 64 nodes on [0, 1)
-        g = make_grid_1d(0.0, 1.0, 64)
+        g = make_grid(0.0, 1.0, n1=64)
         U = np.sin(2 * np.pi * g.x)[None, :]
         expected = 0.7071067811865476
         assert g.l2(U) == pytest.approx(expected, rel=1e-14)
@@ -98,7 +98,6 @@ class TestNormsAndInner:
         assert abs(g.l2(U) ** 2 - ip) <= 4 * np.finfo(float).eps * ip
 
     def test_h1_norm_composition(self):
-        from sinegordon import delta_x, delta_y, h1_norm
         rng = np.random.default_rng(5)
         g = make_grid(0, 1, 0, 1, n1=16, n2=16)
         U = rng.normal(size=g.shape)

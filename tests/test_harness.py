@@ -287,7 +287,8 @@ class TestMainCli:
         energy = read_csv(tmp_path / "energy.csv")
         assert len(energy) == 2  # header + t=0 record
         meta = json.loads((tmp_path / "meta.json").read_text())
-        assert "failure" in meta
+        assert meta["failure"] == ("step 1, t=0.05: fixed-point iteration did not "
+                                   "converge within 0 sweeps")
 
     def test_converge_failure_exits_1_and_flushes(self, tmp_path, capsys):
         # ep-fds with fp_max=0 fails on the first level, so the table has no rows
@@ -299,7 +300,7 @@ class TestMainCli:
         assert rows == [["h", "tau", "l2", "l2_order", "linf", "linf_order",
                          "h1", "h1_order", "cpu_s"]]
         meta = json.loads((tmp_path / "meta.json").read_text())
-        assert meta["failure"].startswith("level 0: ")
+        assert meta["failure"].startswith("level 0: step 1, t=0.05: ")
         assert "numerical failure: level 0: " in capsys.readouterr().err
 
     def test_compare_failure_exits_1_and_flushes(self, tmp_path):
@@ -313,7 +314,7 @@ class TestMainCli:
         cpu = read_csv(tmp_path / "cpu.csv")
         assert [r[0] for r in cpu[1:]] == ["li-leps"]
         meta = json.loads((tmp_path / "meta.json").read_text())
-        assert meta["failure"].startswith("ep-fds: ")
+        assert meta["failure"].startswith("ep-fds: step 1, t=0.05: ")
         assert list(meta["solver"]) == ["li-leps"]
 
 
@@ -351,3 +352,19 @@ class TestPreconditionerReported:
         assert out.strip() == "False"
         meta = json.loads((tmp_path / "meta.json").read_text())
         assert meta["preconditioner"] == "jacobi"
+
+
+def test_compare_records_the_solver_stats_of_run(tmp_path):
+    args = ["--problem", "double-pole-1d", "--n", "60", "--tau", "0.02", "--T", "0.1"]
+    stats = {}
+    for scheme in ("li-leps", "ep-fds"):
+        out = tmp_path / scheme
+        assert main(["run", *args, "--scheme", scheme, "--out", str(out)]) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        stats[scheme] = {key: meta[key] for key in ("cg_iterations", "cg_iterations_max",
+                                                    "fp_sweeps", "preconditioner")}
+    assert main(["compare", *args, "--out", str(tmp_path / "compare")]) == 0
+    solver = json.loads((tmp_path / "compare" / "meta.json").read_text())["solver"]
+    for scheme, expected in stats.items():
+        assert solver[scheme].pop("wall_seconds_stepping") > 0
+        assert solver[scheme] == expected

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sinegordon import (Boundary, NonConvergenceError, SystemOperator, coupling,
-                        get_problem, make_grid, make_grid_1d, pcg_solve)
+                        get_problem, make_grid, pcg_solve)
 
 from sinegordon.linear_solver import _spectral, _spectral_solve, _workspace
 
@@ -26,14 +26,14 @@ def test_zero_tau_is_identity():
 
 
 def test_spike_stencil_arithmetic():
-    g = make_grid_1d(0, 4, 4)
+    g = make_grid(0, 4, n1=4)
     op = SystemOperator(g, 2.0, np.zeros(g.shape))
     w = np.array([[1.0, 0.0, 0.0, 0.0]])
     np.testing.assert_array_equal(op.apply(w), [[3.0, -1.0, 0.0, -1.0]])
 
 
 def test_apply_writes_into_out():
-    for g in (make_grid(0, 1, 0, 2, n1=6, n2=5), make_grid_1d(0, 3, 7),
+    for g in (make_grid(0, 1, 0, 2, n1=6, n2=5), make_grid(0, 3, n1=7),
               get_problem("line-kink-2d").grid(9, 7)):
         op = random_operator(g, 0.7, seed=21)
         w = np.random.default_rng(22).normal(size=g.shape)
@@ -45,7 +45,7 @@ def test_apply_writes_into_out():
 @pytest.mark.parametrize("ratio", [0.07, 14.0])
 @pytest.mark.parametrize("grid", [
     make_grid(0, 1, 0, 1, n1=2, n2=2), make_grid(0, 1, 0, 2, n1=2, n2=5),
-    make_grid(0, 1, 0, 2, n1=9, n2=7), make_grid_1d(0, 1, 7),
+    make_grid(0, 1, 0, 2, n1=9, n2=7), make_grid(0, 1, n1=7),
 ], ids=["2x2", "2x5", "9x7", "1d-7"])
 def test_apply_matches_dense_matrix(grid, ratio):
     tau = ratio * grid.h1
@@ -56,7 +56,7 @@ def test_apply_matches_dense_matrix(grid, ratio):
 
 
 @pytest.mark.parametrize("tau", [0.01, 0.3, 5.0])
-@pytest.mark.parametrize("grid", [make_grid(0, 1, 0, 1, n1=8, n2=8), make_grid_1d(0, 1, 8)],
+@pytest.mark.parametrize("grid", [make_grid(0, 1, 0, 1, n1=8, n2=8), make_grid(0, 1, n1=8)],
                          ids=["square", "1d"])
 def test_apply_maps_constants_exactly_where_d_vanishes(grid, tau):
     # A rounded diagonal acting as (1 + eps) I would drift the conserved energy
@@ -134,7 +134,7 @@ def test_spectral_solves_compute_no_diagonal(monkeypatch):
 
 @pytest.mark.parametrize("grid,tau", [
     (make_grid(0, 1, 0, 2, n1=9, n2=7), 0.01), (make_grid(0, 1, 0, 2, n1=9, n2=7), 0.5),
-    (make_grid_1d(0, 3, 7), 0.3), (get_problem("line-kink-2d").grid(9, 7), 2.0),
+    (make_grid(0, 3, n1=7), 0.3), (get_problem("line-kink-2d").grid(9, 7), 2.0),
 ], ids=["jacobi-9x7", "spectral-9x7", "1d-7", "dirichlet-9x7"])
 def test_operator_without_d_matches_zero_d(grid, tau):
     bare, zero = SystemOperator(grid, tau), SystemOperator(grid, tau, np.zeros(grid.shape))
@@ -195,7 +195,7 @@ def test_results_share_no_memory_with_the_workspace():
 
 def test_alternating_shapes_solve_as_in_reverse_order():
     ops = [random_operator(make_grid(0, 1, 0, 1, n1=12, n2=10), 0.4, seed=33),
-           random_operator(make_grid_1d(0, 3, 40), 0.4, seed=34)]
+           random_operator(make_grid(0, 3, n1=40), 0.4, seed=34)]
     rng = np.random.default_rng(35)
     solves = [(op, rng.normal(size=op.grid.shape), rng.normal(size=op.grid.shape))
               for _ in range(3) for op in ops]

@@ -3,9 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sinegordon import (Boundary, BoundaryValues, coupling, coupling_prime,
-                        coupling_second, delta_x, delta_y, extrapolate_half_step,
-                        laplacian, make_grid, make_grid_1d, time_average)
+from sinegordon import (Boundary, coupling, coupling_prime, coupling_second, delta_x,
+                        laplacian, make_grid)
+from sinegordon.operators import (BoundaryValues, delta_y, extrapolate_half_step,
+                                  time_average)
 
 from oracles import centered_derivative, dense_laplacian_periodic
 
@@ -18,7 +19,7 @@ def test_delta_x_constant_field():
 
 
 def test_delta_x_alternating_wraps():
-    g = make_grid_1d(0, 4, 4)
+    g = make_grid(0, 4, n1=4)
     U = np.array([[0.0, 1.0, 0.0, 1.0]])
     np.testing.assert_array_equal(delta_x(g, U), [[1.0, -1.0, 1.0, -1.0]])
 
@@ -27,7 +28,7 @@ def test_delta_x_richardson_order_two():
     # forward difference of sin matches the midpoint derivative to O(h^2)
     errors = []
     for n in (128, 256, 512):
-        g = make_grid_1d(0.0, 1.0, n)
+        g = make_grid(0.0, 1.0, n1=n)
         U = np.sin(2 * np.pi * g.x)[None, :]
         target = 2 * np.pi * np.cos(2 * np.pi * (g.x + g.h1 / 2))[None, :]
         errors.append(np.max(np.abs(delta_x(g, U) - target)))
@@ -45,7 +46,7 @@ STENCIL_GRIDS = [
     make_grid(0, 2, 0, 3, n1=9, n2=7),
     make_grid(0, 1, 0, 1, n1=2, n2=2),
     make_grid(0, 1, 0, 2, n1=2, n2=5),
-    make_grid_1d(0, 4, 16),
+    make_grid(0, 4, n1=16),
 ]
 
 
@@ -63,7 +64,6 @@ def test_laplacian_maps_constants_to_exact_zero(g):
 
 
 def test_laplacian_dirichlet_constant_edge_data_gives_exact_zero():
-    from sinegordon import Boundary, BoundaryValues
     g = make_grid(0, 2, 0, 3, n1=9, n2=7, boundary=Boundary.DIRICHLET_EXACT)
     c = -0.7
     bv = BoundaryValues(right=np.full(g.n2, c), top=np.full(g.n1, c))
@@ -71,7 +71,6 @@ def test_laplacian_dirichlet_constant_edge_data_gives_exact_zero():
 
 
 def test_laplacian_writes_into_out():
-    from sinegordon import Boundary, BoundaryValues
     rng = np.random.default_rng(7)
     dirichlet = make_grid(0, 2, 0, 3, n1=9, n2=7, boundary=Boundary.DIRICHLET_EXACT)
     cases = [(g, None) for g in STENCIL_GRIDS]
@@ -95,7 +94,7 @@ def test_laplacian_rejects_bad_out():
 
 
 def test_laplacian_spike_readout():
-    g = make_grid_1d(0, 4, 4)
+    g = make_grid(0, 4, n1=4)
     U = np.array([[1.0, 0.0, 0.0, 0.0]])
     np.testing.assert_array_equal(laplacian(g, U), [[-2.0, 1.0, 0.0, 1.0]])
 
@@ -216,7 +215,7 @@ def test_operators_reject_grid_mismatch():
 
 def test_1d_mode_y_differences_vanish():
     rng = np.random.default_rng(6)
-    g = make_grid_1d(0, 2, 16)
+    g = make_grid(0, 2, n1=16)
     U = rng.normal(size=g.shape)
     assert np.all(delta_y(g, U) == 0.0)
     # 3-point Laplacian only: the y-term cancels through the size-1 wrap
@@ -226,12 +225,10 @@ def test_1d_mode_y_differences_vanish():
 
 class TestDirichletReads:
     def setup_method(self):
-        from sinegordon import Boundary
         self.g = make_grid(0, 1, 0, 1, n1=4, n2=4,
                            boundary=Boundary.DIRICHLET_EXACT)
 
     def edge_values(self, fn):
-        from sinegordon import BoundaryValues
         return BoundaryValues(right=fn(self.g.x_hi, self.g.y),
                               top=fn(self.g.x, self.g.y_hi))
 
@@ -267,7 +264,7 @@ def slice_laplacian(grid, U, bv=None):
     """The 5-point Laplacian with its x-neighbour sum over 2-D slices."""
     periodic = grid.boundary is Boundary.PERIODIC
     if bv is None:
-        bv = BoundaryValues.zeros(grid)
+        bv = BoundaryValues(np.zeros(grid.n2), np.zeros(grid.n1))
     out = np.empty(grid.shape)
     np.add(U[:, 2:], U[:, :-2], out=out[:, 1:-1])
     np.add(U[:, 0] if periodic else bv.right, U[:, -2], out=out[:, -1])
@@ -299,7 +296,7 @@ def slice_laplacian(grid, U, bv=None):
 
 BIT_GRIDS = [
     make_grid(0, 1, 0, 2, n1=9, n2=7), make_grid(0, 1, 0, 2, n1=2, n2=5),
-    make_grid_1d(0, 3, 7),
+    make_grid(0, 3, n1=7),
     make_grid(0, 1, 0, 2, n1=9, n2=7, boundary=Boundary.DIRICHLET_EXACT),
 ]
 BIT_IDS = ["9x7", "2x5", "1d-7", "dirichlet-9x7"]
@@ -335,7 +332,7 @@ def shift_delta(grid, U, axis, bv=None):
         shifted = np.roll(U, -1, axis=axis)
     else:
         if bv is None:
-            bv = BoundaryValues.zeros(grid)
+            bv = BoundaryValues(np.zeros(grid.n2), np.zeros(grid.n1))
         shifted = np.empty_like(U)
         if axis == 1:
             shifted[:, :-1] = U[:, 1:]

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from sinegordon import Boundary, Problem, get_problem, mirror_field
-from sinegordon.problems import (PROBLEMS, _check_initial_consistency,
-                                 pde_residual_probe)
+from sinegordon import Boundary, get_problem
+from sinegordon.problems import PROBLEMS, Problem, mirror_field
+
+from oracles import check_initial_consistency, pde_residual_probe
 
 
 def test_registry_names():
@@ -138,6 +139,10 @@ class TestConsistencyChecks:
             p = get_problem(name)
             assert p.name == name
 
+    @pytest.mark.parametrize("name", [n for n in PROBLEMS if PROBLEMS[n]().exact is not None])
+    def test_exact_solution_matches_initial_data(self, name):
+        check_initial_consistency(get_problem(name))
+
     def test_validator_rejects_wrong_velocity(self):
         broken = Problem(
             "broken", -1.0, 1.0, -1.0, 1.0, 2, Boundary.PERIODIC,
@@ -146,7 +151,7 @@ class TestConsistencyChecks:
             exact=lambda x, y, t: np.sin(x + y) * np.cos(t),
         )
         with pytest.raises(ValueError):
-            _check_initial_consistency(broken)
+            check_initial_consistency(broken)
 
     @pytest.mark.parametrize("name", ["double-pole-1d", "line-kink-2d"])
     def test_exact_solutions_satisfy_pde(self, name):

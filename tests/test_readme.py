@@ -1,4 +1,5 @@
-"""The python examples of README.md run, in order, in one namespace."""
+"""The python examples of README.md run, in order, in one namespace, and the
+package root exports exactly the names the README documents."""
 
 import re
 from pathlib import Path
@@ -12,3 +13,20 @@ def test_readme_python_blocks_run():
     namespace: dict = {}
     for i, block in enumerate(blocks):
         exec(compile(block, f"README.md python block {i + 1}", "exec"), namespace)
+
+
+ROOT_EXPORTS = [
+    "Boundary", "NonConvergenceError", "NumericalError", "SchemeState", "SystemOperator",
+    "TimeGrid", "__version__", "convergence_orders", "coupling", "coupling_prime",
+    "coupling_second", "delta_x", "ep_fds_step", "error_vs_exact", "get_problem",
+    "global_energy_modified", "global_energy_original", "init_state", "laplacian",
+    "li_leps_first_step", "li_leps_step", "local_law_residual", "make_grid",
+    "original_law_residual", "pcg_solve", "run",
+]
+
+
+def test_package_root_exports_the_documented_names():
+    import sinegordon
+
+    assert sorted(sinegordon.__all__) == ROOT_EXPORTS
+    assert all(hasattr(sinegordon, name) for name in ROOT_EXPORTS)

@@ -5,14 +5,15 @@ import weakref
 import numpy as np
 import pytest
 
-from sinegordon import (SCHEMES, BoundaryValues, DirichletBoundary, NonConvergenceError,
-                        NumericalError, Problem, SchemeState, TimeGrid, Boundary, coupling,
-                        ep_fds_step, error_vs_exact, get_problem,
+from sinegordon import (NonConvergenceError, NumericalError, SchemeState, TimeGrid,
+                        Boundary, coupling, ep_fds_step, error_vs_exact, get_problem,
                         global_energy_original, init_state, li_leps_first_step,
-                        li_leps_step, make_grid, make_grid_1d, run)
+                        li_leps_step, make_grid, run)
 from sinegordon import schemes
 from sinegordon.linear_solver import _workspace
-from sinegordon.operators import extrapolate_half_step
+from sinegordon.operators import BoundaryValues, extrapolate_half_step
+from sinegordon.problems import DirichletBoundary, Problem
+from sinegordon.schemes import SCHEMES
 
 from oracles import coupled_step_dense
 
@@ -119,7 +120,7 @@ class TestLiLepsStep:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_dense_coupled_oracle_1d(self, seed):
-        g = make_grid_1d(0, 2, 4)
+        g = make_grid(0, 2, n1=4)
         st = random_state(g, seed, with_prev=True)
         tau = 0.02
         out = li_leps_step(st, tau)
@@ -151,7 +152,8 @@ class TestLiLepsStep:
     def test_substituting_back_into_coupled_equations(self):
         # the eliminated solve must satisfy all three original equations to
         # within a small multiple of the solver tolerance
-        from sinegordon import laplacian, time_average
+        from sinegordon import laplacian
+        from sinegordon.operators import time_average
         g = make_grid(0, 1, 0, 1, n1=8, n2=8)
         st = random_state(g, 11, with_prev=True)
         tau = 0.02
@@ -327,7 +329,9 @@ class TestRun:
         st0 = init_state(p, g)
         np.testing.assert_array_equal(result.state.u, st0.u)
         np.testing.assert_array_equal(result.state.v, st0.v)
-        assert result.steps == 0
+        assert result.state.t == 0
+        assert result.cg_iterations == 0
+        assert result.preconditioner is None
 
     def test_recorder_cadence(self):
         p = get_problem("double-pole-1d")
@@ -367,6 +371,30 @@ class TestRun:
             run(p, p.grid(50), TimeGrid(0.01, 1), scheme="leapfrog")
 
 
+class TestFailuresSayWhere:
+    def test_diverging_fixed_point_names_step_t_and_lag(self):
+        # tau/h 10 on line-kink-2d: the lagged quotient no longer contracts
+        p = get_problem("line-kink-2d")
+        g = p.grid(64)
+        tau = 10 * g.h1
+        with pytest.raises(NumericalError) as info:
+            run(p, g, TimeGrid(tau, 5), scheme="ep-fds")
+        assert type(info.value) is NumericalError
+        assert str(info.value).startswith(
+            f"step 1, t={tau:g}: fixed-point iteration did not converge within 50 sweeps "
+            "(last lag ")
+        assert ", target " in str(info.value)
+
+    def test_stagnated_solve_names_step_and_t(self):
+        # tau/h 16 in 1D: the true residual stalls just above the CG target
+        p = get_problem("double-pole-1d")
+        g = p.grid(3200)
+        tau = 16 * g.h1
+        with pytest.raises(NonConvergenceError) as info:
+            run(p, g, TimeGrid(tau, 3))
+        assert str(info.value).startswith(f"step 1, t={tau:g}: CG stagnated at iteration ")
+
+
 class TestDirichletEdgeData:
     """Dirichlet-exact states carry the edge values of their own time level."""
 
@@ -402,7 +430,8 @@ class TestDirichletEdgeData:
                 SchemeState(g, 0.0, zeros, zeros, ones, **edge)
         periodic = make_grid(0, 1, 0, 1, n1=9, n2=7)
         SchemeState(periodic, 0.0, zeros, zeros, ones)
-        for edge in ({"bv": BoundaryValues.zeros(periodic)}, {"bc": bc}):
+        zero_bv = BoundaryValues(np.zeros(periodic.n2), np.zeros(periodic.n1))
+        for edge in ({"bv": zero_bv}, {"bc": bc}):
             with pytest.raises(ValueError):
                 SchemeState(periodic, 0.0, zeros, zeros, ones, **edge)
 

@@ -89,9 +89,13 @@ class Grid:
     def y(self) -> np.ndarray:
         return self.y_lo + np.arange(self.n2) * self.h2
 
-    @cached_property
+    @property
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinate arrays ``(X, Y)`` of shape ``(n2, n1)``."""
+        """Coordinate arrays ``(X, Y)`` of shape ``(n2, n1)``, built on each access.
+
+        Only sampling reads them (initial data, exact solutions), so they are
+        not kept: two fields for the life of the grid cost more than a rebuild.
+        """
         return np.meshgrid(self.x, self.y)
 
     @cached_property

@@ -38,7 +38,7 @@ class ConfigError(Exception):
 @dataclass
 class RunConfig:
     problem: str
-    scheme: str = "li-leps"
+    scheme: str = SCHEMES[0]
     n1: int = 100
     n2: int | None = None
     tau: float = 0.01
@@ -321,8 +321,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", required=True, help="nodes per axis: n1 or n1,n2")
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--T", type=float, required=True)
-    p.add_argument("--out", default="out")
-    p.add_argument("--record-every", type=int, default=1)
+    p.add_argument("--out", default=RunConfig.out_dir)
+    p.add_argument("--record-every", type=int, default=RunConfig.record_every)
     p.add_argument("--cg-tol", type=float, default=RunConfig.cg_tol)
     p.add_argument("--fp-tol", type=float, default=RunConfig.fp_tol)
     p.add_argument("--fp-max", type=int, default=RunConfig.fp_max)
@@ -332,7 +332,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     n1, n2 = _parse_n(args.n)
     return RunConfig(
         problem=args.problem,
-        scheme=getattr(args, "scheme", "li-leps"),
+        scheme=getattr(args, "scheme", RunConfig.scheme),
         n1=n1, n2=n2,
         tau=args.tau, T=args.T,
         record_every=args.record_every,
@@ -352,7 +352,7 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="integrate one problem and emit traces/snapshots")
     _add_common(p_run)
-    p_run.add_argument("--scheme", choices=list(SCHEMES), default="li-leps")
+    p_run.add_argument("--scheme", choices=list(SCHEMES), default=RunConfig.scheme)
     p_run.add_argument("--snap", help="comma-separated snapshot times")
     p_run.add_argument("--transform", action="store_true",
                        help="apply the problem's display transform to snapshots")
@@ -361,7 +361,7 @@ def main(argv=None) -> int:
 
     p_conv = sub.add_parser("converge", help="halving (h, tau) refinement study")
     _add_common(p_conv)
-    p_conv.add_argument("--scheme", choices=list(SCHEMES), default="li-leps")
+    p_conv.add_argument("--scheme", choices=list(SCHEMES), default=RunConfig.scheme)
     p_conv.add_argument("--levels", type=int, required=True)
 
     p_cmp = sub.add_parser("compare", help="run both schemes; energy traces and cpu table")

@@ -124,8 +124,8 @@ def _spectral(shape: tuple[int, int], h1: float, h2: float,
     (4/h1^2) sin^2(pi k1/n1) + (4/h2^2) sin^2(pi k2/n2)``.  The symbol is real,
     of shape ``(n2, n1//2 + 1)``; the work field is complex of that shape.
     Kept for the most recent grid and ``tau``, which both schemes share.  The
-    key is plain values: a ``Grid`` key would keep that grid's cached
-    meshgrid alive after its run.
+    key is plain values: a ``Grid`` key would keep that grid and its cached
+    arrays alive after its run.
     """
     n2, n1 = shape
     k1 = np.arange(n1 // 2 + 1)

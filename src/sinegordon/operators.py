@@ -77,16 +77,48 @@ def add_y_neighbour_sum(grid: Grid, U: np.ndarray, bv: BoundaryValues | None,
         out[0] += U[-1]
 
 
-def delta_x(grid: Grid, U: np.ndarray, bv: BoundaryValues | None = None) -> np.ndarray:
-    """Forward x-difference ``(U[j1+1] - U[j1]) / h1``."""
-    U = grid.check_field(U)
-    return np.diff(U, axis=1, append=_high_edge(grid, U, bv, 1)[:, None]) / grid.h1
+def _out_field(grid: Grid, U: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """``out`` checked as a C-contiguous field on ``grid`` apart from ``U``, or a new field."""
+    if out is None:
+        return np.empty(grid.shape)
+    grid.check_field(out, "out")
+    if np.may_share_memory(out, U):
+        raise ValueError("out must not overlap U")
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    return out
 
 
-def delta_y(grid: Grid, U: np.ndarray, bv: BoundaryValues | None = None) -> np.ndarray:
-    """Forward y-difference ``(U[j2+1] - U[j2]) / h2``; identically zero in 1D mode."""
+def delta_x(grid: Grid, U: np.ndarray, bv: BoundaryValues | None = None,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """Forward x-difference ``(U[j1+1] - U[j1]) / h1``, into ``out`` when given.
+
+    ``out`` is a C-contiguous float field on the grid that does not overlap
+    ``U``; without it a new field is returned.  As in
+    :func:`x_neighbour_sum`, the difference runs along the flattened field
+    and the high-edge column is redone after it.
+    """
     U = grid.check_field(U)
-    return np.diff(U, axis=0, append=_high_edge(grid, U, bv, 0)[None]) / grid.h2
+    out = _out_field(grid, U, out)
+    Uf = U.reshape(-1)
+    np.subtract(Uf[1:], Uf[:-1], out=out.reshape(-1)[:-1])
+    np.subtract(_high_edge(grid, U, bv, 1), U[:, -1], out=out[:, -1])
+    out /= grid.h1
+    return out
+
+
+def delta_y(grid: Grid, U: np.ndarray, bv: BoundaryValues | None = None,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """Forward y-difference ``(U[j2+1] - U[j2]) / h2``, into ``out`` as :func:`delta_x`.
+
+    Identically zero in 1D mode on periodic grids.
+    """
+    U = grid.check_field(U)
+    out = _out_field(grid, U, out)
+    np.subtract(U[1:], U[:-1], out=out[:-1])
+    np.subtract(_high_edge(grid, U, bv, 0), U[-1], out=out[-1])
+    out /= grid.h2
+    return out
 
 
 def laplacian(
@@ -108,15 +140,7 @@ def laplacian(
     the steppers never evaluate the equation there.
     """
     U = grid.check_field(U)
-    if out is None:
-        out = np.empty(grid.shape)
-    else:
-        grid.check_field(out, "out")
-        if np.may_share_memory(out, U):
-            raise ValueError("out must not overlap U")
-        if not out.flags.c_contiguous:
-            raise ValueError("out must be C-contiguous")
-
+    out = _out_field(grid, U, out)
     x_neighbour_sum(grid, U, bv, out)
     out -= U
     out -= U
@@ -163,14 +187,51 @@ def _require_finite(x) -> np.ndarray:
     return x
 
 
-def coupling(x) -> np.ndarray:
+def coupling(x, out: np.ndarray | None = None) -> np.ndarray:
     """Coupling coefficient ``sin(x) / sqrt(2 - cos(x))`` between wave and auxiliary fields.
 
-    The radicand is at least 1, so the closed form is well conditioned for all
-    finite arguments; the value is globally bounded by 1.
+    Evaluated on the half-angle tangent ``t = tan(x/2)``, through the exact
+    identities ``sin x = 2t/(1 + t^2)`` and ``2 - cos x = (1 + 3t^2)/(1 + t^2)``:
+
+        coupling(x) = 2t / sqrt((1 + t^2)(1 + 3t^2)) = t / sqrt(1/4 + t^2 (1 + 3t^2/4))
+
+    One tangent costs about a third of a sine or a cosine.  Near odd
+    multiples of pi, ``t`` grows large and the value tends to 0 like
+    ``2/(sqrt(3) |t|)``; ``|tan|`` of a finite double stays far below the
+    1e77 at which ``t^4`` would overflow, so no guard is needed.  The value
+    is globally bounded by 1.
+
+    The result is written into ``out`` (a float array of ``x``'s shape, which
+    may be ``x`` itself) and returned; without ``out`` a new array is
+    returned, or a scalar for scalar input.  Raises ``ValueError`` on
+    non-finite input.
     """
     x = _require_finite(x)
-    return np.sin(x) / np.sqrt(2.0 - np.cos(x))
+    t = np.multiply(x, 0.5, out=np.empty_like(x) if out is None else out)
+    np.tan(t, out=t)
+    radicand = np.multiply(t, t, out=np.empty_like(t))
+    radicand *= 0.75
+    radicand += 1.0
+    radicand *= t
+    radicand *= t
+    radicand += 0.25
+    t /= np.sqrt(radicand, out=radicand)
+    return t if out is not None or t.ndim else t[()]
+
+
+def one_minus_cos(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``1 - cos x`` as ``2t^2 / (1 + t^2)`` with ``t = tan(x/2)``, into ``out`` through ``scratch``.
+
+    An exact identity, evaluated with one tangent and free of the
+    cancellation of ``1 - cos x`` near ``x = 0``.  ``out`` may be ``x``;
+    ``scratch`` is a third field.
+    """
+    t_sq = np.multiply(x, 0.5, out=out)
+    np.tan(t_sq, out=t_sq)
+    t_sq *= t_sq
+    t_sq /= np.add(t_sq, 1.0, out=scratch)
+    t_sq *= 2.0
+    return t_sq
 
 
 def coupling_prime(x) -> np.ndarray:

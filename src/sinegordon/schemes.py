@@ -29,8 +29,9 @@ import numpy as np
 
 from .grid import Boundary, Grid
 from .linear_solver import (CG_TOL, NumericalError, SolveReport, SystemOperator,
-                            pcg_solve)
-from .operators import BoundaryValues, coupling, extrapolate_half_step, laplacian
+                            _workspace, pcg_solve)
+from .operators import (BoundaryValues, coupling, extrapolate_half_step, laplacian,
+                        one_minus_cos)
 from .problems import DirichletBoundary, Problem
 
 
@@ -201,8 +202,8 @@ def li_leps_step(state: SchemeState, tau: float, cg_tol: float = CG_TOL) -> Sche
     """
     if state.u_prev is None:
         raise ValueError("li_leps_step needs the previous level; take li_leps_first_step first")
-    d = coupling(extrapolate_half_step(state.u, state.u_prev))
-    return _li_advance(state, tau, d, cg_tol)
+    d = extrapolate_half_step(state.u, state.u_prev)
+    return _li_advance(state, tau, coupling(d, out=d), cg_tol)
 
 
 def li_leps_first_step(state: SchemeState, tau: float, cg_tol: float = CG_TOL) -> SchemeState:
@@ -217,28 +218,36 @@ def li_leps_first_step(state: SchemeState, tau: float, cg_tol: float = CG_TOL) -
 
 
 def _cos_quotient(
-    u_new: np.ndarray, u_old: np.ndarray, out: np.ndarray, scratch: np.ndarray
+    u_new: np.ndarray, u_old: np.ndarray, sin_old: np.ndarray, cos_old: np.ndarray,
+    out: np.ndarray, scratch: np.ndarray, scratch2: np.ndarray,
 ) -> np.ndarray:
-    """Difference quotient ``(cos(u_old) - cos(u_new)) / (u_new - u_old)``, into ``out``.
+    """Difference quotient ``Q = (cos(u_old) - cos(u_new)) / (u_new - u_old)``, into ``out``.
 
-    Evaluated through ``sin(mid) * sin(half)/half`` (an exact identity), which
-    is free of cancellation for any level separation.  Where the levels differ
-    by less than 1e-8 the sine ratio is replaced by its limit 1, i.e. the
-    quotient becomes sin of the midpoint; the substitution error is
-    O(threshold^2) and below resolution anyway.  ``out`` and ``scratch`` are
-    distinct fields that overlap neither input.
+    With ``h = u_new - u_old`` and the half-angle tangent ``t = tan(h/2)``,
+    ``1 - cos h = 2t^2/(1 + t^2)`` and ``sin h = 2t/(1 + t^2)`` turn the
+    quotient exactly into
+
+        Q = 2t / (h (1 + t^2)) * (cos(u_old) t + sin(u_old)),
+
+    which takes one tangent per call, given ``sin_old`` and ``cos_old`` (sin
+    and cos of ``u_old``), and has no cancellation at any ``h``: ``2t/h``
+    tends to 1 as ``h`` does.  Where ``h == 0`` it is ``sin_old`` exactly,
+    the quotient's limit.  ``out``, ``scratch`` and ``scratch2`` are distinct
+    fields that overlap no input.
     """
     half = np.subtract(u_new, u_old, out=scratch)
     half *= 0.5
-    small = np.abs(half, out=out) < 5e-9
-    np.sin(half, out=out)
-    np.copyto(half, 1.0, where=small)
-    out /= half
-    np.copyto(out, 1.0, where=small)
-    mid = np.add(u_new, u_old, out=scratch)
-    mid *= 0.5
-    out *= np.sin(mid, out=mid)
-    return out
+    t = np.tan(half, out=out)
+    np.multiply(t, t, out=scratch2)
+    scratch2 += 1.0
+    half *= scratch2
+    numerator = np.multiply(cos_old, t, out=scratch2)
+    numerator += sin_old
+    numerator *= t
+    same = half == 0.0
+    np.copyto(half, 1.0, where=same)
+    np.copyto(numerator, sin_old, where=same)
+    return np.divide(numerator, half, out=out)
 
 
 # Default ep-fds fixed point: sweep until the quotient lag is within FP_TOL
@@ -248,9 +257,13 @@ FP_MAX = 50
 
 
 @lru_cache(maxsize=1)
-def _sweep_fields(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Two work fields of the ep-fds sweeps on one grid shape, kept across steps."""
-    return np.empty(shape), np.empty(shape)
+def _sweep_fields(shape: tuple[int, int]) -> tuple[np.ndarray, ...]:
+    """Three work fields of the ep-fds sweeps on one grid shape, kept across steps.
+
+    One of the two fields that take turns as right-hand side and quotient,
+    and sin and cos of the old level.
+    """
+    return tuple(np.empty(shape) for _ in range(3))
 
 
 def ep_fds_step(
@@ -266,11 +279,14 @@ def ep_fds_step(
 
         [I - (tau^2/4) Lap] u_new = u + tau v + (tau^2/4) Lap u - (tau^2/2) Q(u_new, u)
 
-    with ``Q`` the difference quotient of ``1 - cos``; each sweep is one CG
-    solve.  Conserves the original discrete energy exactly.  The auxiliary
-    field of the returned state is recomputed as ``sqrt(2 - cos u)`` (this
-    scheme carries no auxiliary variable of its own).  Reads only ``state``;
-    the new level carries one CG report per sweep in ``reports``.
+    with ``Q`` the difference quotient of ``1 - cos`` (see :func:`_cos_quotient`);
+    each sweep is one CG solve.  The first sweep lags the quotient at its
+    limit ``Q(u, u) = sin u``.  Conserves the original discrete energy
+    exactly.  The auxiliary field of the returned state is recomputed as
+    ``sqrt(2 - cos u) = sqrt(1 + 2t^2/(1 + t^2))`` with ``t = tan(u/2)``
+    (this scheme carries no auxiliary variable of its own).
+    Reads only ``state``; the new level carries one CG report per sweep in
+    ``reports``.
     """
     grid = state.grid
     if tau <= 0:
@@ -280,17 +296,22 @@ def ep_fds_step(
     t2 = tau * tau
     op = SystemOperator(grid, tau)
 
-    # The constant part of the right-hand side and one of the two quotients
-    # live in the new level's v and r fields until the sweeps end; the
-    # sweep's right-hand side (also the scratch of the quotient and the lag
-    # difference) and the other quotient are kept across steps.
-    rhs, new_quotient = _sweep_fields(grid.shape)
+    # The constant part of the right-hand side lives in the new level's v
+    # field until the sweeps end.  Two fields take turns as the sweep's
+    # right-hand side and the lagged quotient: the new level's r field and
+    # one kept across steps, as sin and cos of the old level are.  Each new
+    # quotient is written over the right-hand side its solve has finished
+    # with; its scratch and the lag difference borrow two CG work fields,
+    # idle between solves.
+    spare, sin_old, cos_old = _sweep_fields(grid.shape)
+    r_new = np.empty(grid.shape)
     base = v_new = laplacian(grid, u, state.bv)
     base *= 0.25 * t2
-    np.multiply(v, tau, out=rhs)
-    rhs += u
-    base += rhs
-    known, bv, u0 = _lift(state, tau, base, rhs)
+    np.multiply(v, tau, out=r_new)
+    r_new += u
+    base += r_new
+    known, bv, u0 = _lift(state, tau, base, r_new)
+    scratch, scratch2 = _workspace(grid.shape)[2:]
 
     # The sweeps run on the solve's unknowns: the quotient of two fields that
     # are zero on the pinned ring is zero there too, so every right-hand side
@@ -303,17 +324,20 @@ def ep_fds_step(
     # once the quotient lag drops below tolerance the solved equation holds to
     # the sum of the two tolerances.
     target = fp_tol * max(1.0, grid.l2(base))
+    np.sin(u0, out=sin_old)
+    np.cos(u0, out=cos_old)
+    np.copyto(spare, sin_old)
+    quotient, rhs = spare, r_new
     w = u0
-    quotient = r_new = _cos_quotient(w, u0, np.empty(grid.shape), rhs)
     reports = []
     for _ in range(fp_max):
         np.multiply(quotient, 0.5 * t2, out=rhs)
         np.subtract(base, rhs, out=rhs)
         w, report = pcg_solve(op, rhs, tol=cg_tol, x0=w)
         reports.append(report)
-        _cos_quotient(w, u0, new_quotient, rhs)
-        lag = 0.5 * t2 * grid.l2(np.subtract(new_quotient, quotient, out=rhs))
-        quotient, new_quotient = new_quotient, quotient
+        new_quotient = _cos_quotient(w, u0, sin_old, cos_old, rhs, scratch, scratch2)
+        lag = 0.5 * t2 * grid.l2(np.subtract(new_quotient, quotient, out=scratch))
+        quotient, rhs = new_quotient, quotient
         if lag <= target:
             break
     else:
@@ -328,13 +352,14 @@ def ep_fds_step(
     v_new *= 2.0
     v_new /= tau
     v_new -= v
-    np.cos(u_new, out=r_new)
-    np.subtract(2.0, r_new, out=r_new)
+    one_minus_cos(u_new, r_new, scratch)
+    r_new += 1.0
     np.sqrt(r_new, out=r_new)
     return SchemeState(grid, t_new, u_new, v_new, r_new, u_prev=u, bc=state.bc, bv=bv,
                        reports=tuple(reports))
 
 
+# The production scheme comes first: every run without a scheme takes it.
 SCHEMES = ("li-leps", "ep-fds")
 
 
@@ -352,7 +377,7 @@ def run(
     problem: Problem,
     grid: Grid,
     time_grid: TimeGrid,
-    scheme: str = "li-leps",
+    scheme: str = SCHEMES[0],
     recorders: Sequence[Callable[[int, SchemeState], None]] = (),
     cg_tol: float = CG_TOL,
     fp_tol: float = FP_TOL,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,23 @@ class TestEnergyRecorder:
         rec = EnergyRecorder()
         run(p, p.grid(200), TimeGrid(0.01, 100), recorders=(rec,))
         assert max(r.deviation for r in rec.records) <= 1e-14
+
+    def test_a_record_allocates_at_most_three_fields(self):
+        # The density is built in place: two work fields, where the closed
+        # forms allocated about six.
+        p = get_problem("ring")
+        state = li_leps_first_step(init_state(p, p.grid(200)), 0.01)
+        rec = EnergyRecorder()
+        rec(0, state)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rec(1, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rec.records) == 2
+        assert peak - before <= 3 * state.u.nbytes
 
     def test_rejects_bad_cadence(self):
         with pytest.raises(ValueError):

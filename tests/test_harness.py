@@ -209,6 +209,16 @@ class TestMainCli:
         assert (tmp_path / "energy.csv").exists()
         assert (tmp_path / "meta.json").exists()
 
+    @pytest.mark.parametrize("command,extra", [("run", ()), ("converge", ("--levels", "2")),
+                                               ("compare", ())])
+    def test_parsed_defaults_are_run_config_defaults(self, monkeypatch, command, extra):
+        seen = []
+        monkeypatch.setattr(sinegordon.harness, f"cmd_{command}",
+                            lambda cfg, *rest: seen.append(cfg) or 0)
+        assert main([command, "--problem", "ring", "--n", "8", "--tau", "0.1",
+                     "--T", "0.2", *extra]) == 0
+        assert seen == [RunConfig(problem="ring", n1=8, tau=0.1, T=0.2)]
+
     def test_bad_problem_exits_2(self, tmp_path, capsys):
         rc = main(["run", "--problem", "nope", "--n", "50", "--tau", "0.02",
                    "--T", "0.1", "--out", str(tmp_path)])

@@ -6,7 +6,7 @@ import pytest
 from sinegordon import (Boundary, coupling, coupling_prime, coupling_second, delta_x,
                         laplacian, make_grid)
 from sinegordon.operators import (BoundaryValues, delta_y, extrapolate_half_step,
-                                  time_average)
+                                  one_minus_cos, time_average)
 
 from oracles import centered_derivative, dense_laplacian_periodic
 
@@ -203,6 +203,52 @@ class TestCoupling:
         assert np.max(np.abs(fd_prime - coupling_prime(x))) <= 1e-6
         fd_second = centered_derivative(coupling_prime, x)
         assert np.max(np.abs(fd_second - coupling_second(x))) <= 1e-6
+
+    @staticmethod
+    def closed_form(x):
+        return np.sin(x) / np.sqrt(2.0 - np.cos(x))
+
+    def test_half_angle_form_matches_the_closed_form(self):
+        odd = np.pi * np.arange(-21, 22, 2)
+        near_odd = np.concatenate([odd, np.nextafter(odd, np.inf), np.nextafter(odd, -np.inf),
+                                   odd + 1e-8, odd - 1e-8])
+        far = np.random.default_rng(52).uniform(-1e6, 1e6, 100_000)
+        far[:2] = -1e6, 1e6
+        for x in (np.linspace(-10 * np.pi, 10 * np.pi, 1_000_000), near_odd, far):
+            assert np.max(np.abs(coupling(x) - self.closed_form(x))) <= 4e-16
+
+    def test_out_may_be_the_input(self):
+        x = np.linspace(-7.0, 7.0, 1001).reshape(7, 143)
+        fresh = coupling(x)
+        assert coupling(x, out=x) is x
+        np.testing.assert_array_equal(x, fresh)
+
+    def test_scalar_input_gives_a_scalar(self):
+        for x in (0.75, np.float64(0.75), np.array(0.75)):
+            value = coupling(x)
+            assert np.ndim(value) == 0 and not isinstance(value, np.ndarray)
+            assert value == pytest.approx(self.closed_form(0.75), abs=4e-16)
+
+
+def test_differences_into_out():
+    g = make_grid(0, 1, 0, 1, n1=8, n2=6)
+    U = np.random.default_rng(53).normal(size=g.shape)
+    for delta in (delta_x, delta_y):
+        out = np.full(g.shape, np.nan)
+        assert delta(g, U, out=out) is out
+        np.testing.assert_array_equal(out, delta(g, U))
+        with pytest.raises(ValueError, match="overlap"):
+            delta(g, U, out=U)
+        with pytest.raises(ValueError, match="contiguous"):
+            delta(g, U, out=np.empty((6, 16))[:, ::2])
+
+
+def test_one_minus_cos_has_no_cancellation():
+    x = np.concatenate([np.linspace(-10 * np.pi, 10 * np.pi, 100_001), [1e-9, -3e-12, 0.0]])
+    expected = 2.0 * np.sin(0.5 * x) ** 2
+    work = x.copy()
+    assert one_minus_cos(work, work, np.empty_like(x)) is work
+    np.testing.assert_allclose(work, expected, rtol=1e-15, atol=0.0)
 
 
 def test_operators_reject_grid_mismatch():

@@ -141,6 +141,13 @@ class TestLiLepsStep:
         assert np.max(np.abs(out.v - v_o)) <= 1e-12
         assert np.max(np.abs(out.r - r_o)) <= 1e-12
 
+    def test_auxiliary_field_is_sqrt_two_minus_cos(self):
+        g = make_grid(0, 1, 0, 1, n1=16, n2=16)
+        st = random_state(g, 10)
+        st = SchemeState(g, 0.0, 4.0 * st.u, st.v, st.r)
+        out = ep_fds_step(st, 0.01)
+        np.testing.assert_allclose(out.r, np.sqrt(2.0 - np.cos(out.u)), rtol=1e-15)
+
     def test_table_row_h10_tau100(self):
         p = get_problem("double-pole-1d")
         g = p.grid(400)
@@ -290,17 +297,38 @@ class TestLargeStepSolves:
 
 
 class TestCosQuotient:
+    @staticmethod
+    def quotient(u_new, u_old):
+        """The kernel's quotient and the ``sin(u_old)`` it was given."""
+        sin_old = np.sin(u_old)
+        out, scratch, scratch2 = np.full((3, *u_old.shape), np.nan)
+        q = schemes._cos_quotient(u_new, u_old, sin_old, np.cos(u_old), out, scratch, scratch2)
+        assert q is out
+        return q, sin_old
+
     def test_matches_the_difference_quotient_and_its_limit(self):
         rng = np.random.default_rng(41)
-        a, b = rng.uniform(-4, 4, size=(2, 6, 5))
-        b[0] = a[0]
-        b[1] = a[1] + 1e-10
-        out, scratch = np.full((2, 6, 5), np.nan)
-        assert schemes._cos_quotient(a, b, out, scratch) is out
-        apart = slice(2, None)
-        np.testing.assert_allclose(out[apart], (np.cos(b) - np.cos(a))[apart] / (a - b)[apart],
+        u_old = rng.uniform(-4, 4, size=(6, 5))
+        h = rng.uniform(-4, 4, size=(6, 5))
+        u_old[1] = np.pi + rng.uniform(-1e-6, 1e-6, 5)
+        u_old[2] = -np.pi + rng.uniform(-1e-6, 1e-6, 5)
+        h[3] = 2 * np.pi + rng.uniform(-0.1, 0.1, 5)
+        h[4] = -2 * np.pi + rng.uniform(-0.1, 0.1, 5)
+        h[5] = np.pi * rng.choice([-1, 1], 5) + rng.uniform(-1e-6, 1e-6, 5)
+        u_new = u_old + h
+        q, _ = self.quotient(u_new, u_old)
+        np.testing.assert_allclose(q, (np.cos(u_old) - np.cos(u_new)) / (u_new - u_old),
                                    rtol=1e-10)
-        np.testing.assert_array_equal(out[:2], np.sin(0.5 * (a + b))[:2])
+
+        # Where the levels meet (h == 0) and next to it (h == 1e-10).
+        u_old = rng.uniform(-4, 4, size=(2, 5))
+        u_new = u_old + np.array([[0.0], [1e-10]])
+        q, sin_old = self.quotient(u_new, u_old)
+        np.testing.assert_array_equal(q[0], sin_old[0])
+        mid = np.sin(0.5 * (u_new + u_old))
+        ulp = np.spacing(np.abs(mid))
+        assert np.all(np.abs(q[0] - np.sin(u_old[0])) <= 2 * ulp[0])
+        assert np.all(np.abs(q[1] - mid[1]) <= 2 * ulp[1])
 
 
 class TestFieldOwnership:

@@ -119,13 +119,15 @@ class Grid:
             raise ValueError(f"{name} has shape {U.shape}, expected {self.shape}")
         return U
 
-    # Reductions use np.sum (pairwise, deterministic order) so conservation
-    # residuals are reproducible run to run.
+    # Inner products are one BLAS dot over the raveled fields: one pass, no
+    # product field.  Its rounding depends on the BLAS build and thread count,
+    # so results repeat bit for bit on one machine, numpy/BLAS build and BLAS
+    # thread count.  Energy sums in diagnostics keep np.sum.
     def inner(self, U: np.ndarray, V: np.ndarray) -> float:
         """Discrete inner product ``h1*h2 * sum(U*V)``."""
-        self.check_field(U)
-        self.check_field(V)
-        return self.cell_area * float(np.sum(U * V))
+        U = self.check_field(U)
+        V = self.check_field(V)
+        return self.cell_area * float(np.dot(np.ravel(U), np.ravel(V)))
 
     def l2(self, U: np.ndarray) -> float:
         """Discrete L2 norm ``sqrt(<U, U>)``."""

@@ -2,9 +2,10 @@
 
 Outputs are CSV tables plus a ``meta.json`` that echoes every config field, so
 a run is reproducible from its metadata alone.  Data files carry no
-timestamps and all reductions are deterministic, so repeated runs of the same
-config produce byte-identical CSVs; the wall-clock columns (``cpu.csv`` and
-the ``cpu_s`` column of ``convergence.csv``) are the documented exception.
+timestamps and all reductions are deterministic at a fixed BLAS thread count,
+so repeated runs of the same config on one machine, numpy/BLAS build and BLAS
+thread count produce byte-identical CSVs; the wall-clock columns (``cpu.csv``
+and the ``cpu_s`` column of ``convergence.csv``) are the documented exception.
 
 Exit status: 0 on success, 1 on numerical failure, 2 on configuration errors.
 A numerical failure still flushes every output finished before it; stderr

@@ -31,7 +31,7 @@ from .grid import Boundary, Grid
 from .linear_solver import (CG_TOL, NumericalError, SolveReport, SystemOperator,
                             _workspace, pcg_solve)
 from .operators import (BoundaryValues, coupling, extrapolate_half_step, laplacian,
-                        one_minus_cos)
+                        one_minus_cos, sin_cos)
 from .problems import DirichletBoundary, Problem
 
 
@@ -324,8 +324,7 @@ def ep_fds_step(
     # once the quotient lag drops below tolerance the solved equation holds to
     # the sum of the two tolerances.
     target = fp_tol * max(1.0, grid.l2(base))
-    np.sin(u0, out=sin_old)
-    np.cos(u0, out=cos_old)
+    sin_cos(u0, sin_old, cos_old)
     np.copyto(spare, sin_old)
     quotient, rhs = spare, r_new
     w = u0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,25 @@ class TestNormsAndInner:
         U = rng.normal(size=g.shape)
         ip = g.inner(U, U)
         assert abs(g.l2(U) ** 2 - ip) <= 4 * np.finfo(float).eps * ip
+
+    def test_reductions_allocate_no_field(self):
+        g = make_grid(-14, 14, -14, 14, n1=200, n2=200)
+        U, V = np.random.default_rng(7).normal(size=(2, *g.shape))
+        for reduce in (lambda: g.l2(U), lambda: g.inner(U, V)):
+            reduce()
+            tracemalloc.start()
+            try:
+                reduce()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 0.1 * U.nbytes
+
+    def test_inner_of_strided_views(self):
+        g = make_grid(0, 1, 0, 1, n1=6, n2=5)
+        W = np.random.default_rng(8).normal(size=(10, 12))
+        U, V = W[::2, ::2], np.asfortranarray(W[1::2, 1::2])
+        assert g.inner(U, V) == pytest.approx(brute_force_inner(g, U, V), rel=1e-13)
 
     def test_h1_norm_composition(self):
         rng = np.random.default_rng(5)

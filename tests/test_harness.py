@@ -378,3 +378,21 @@ def test_compare_records_the_solver_stats_of_run(tmp_path):
     for scheme, expected in stats.items():
         assert solver[scheme].pop("wall_seconds_stepping") > 0
         assert solver[scheme] == expected
+
+
+def test_repeated_compare_is_byte_identical(tmp_path):
+    # 120^2 nodes: OpenBLAS splits dots of more than 10,000 nodes across its
+    # threads, so this pins repeatability at any fixed BLAS thread count
+    args = ["compare", "--problem", "ring", "--n", "120", "--tau", "0.02", "--T", "0.4"]
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        assert main([*args, "--out", str(out)]) == 0
+    for scheme in ("li-leps", "ep-fds"):
+        name = f"energy_{scheme}.csv"
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+    solver = [json.loads((out / "meta.json").read_text())["solver"] for out in runs]
+    for stats in solver:
+        for scheme_stats in stats.values():
+            del scheme_stats["wall_seconds_stepping"]
+    assert solver[0] == solver[1]
+    assert solver[0]["ep-fds"]["fp_sweeps"] > 0

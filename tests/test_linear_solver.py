@@ -181,6 +181,24 @@ def test_repeat_solve_allocates_at_most_two_fields():
     assert peak <= 2 * x.nbytes
 
 
+@pytest.mark.parametrize("tau", [0.01, 0.2], ids=["jacobi", "spectral"])
+def test_warm_solve_allocates_only_its_result(tau):
+    # ring-paper's 200^2 mesh; inner products write no product field, so the
+    # returned x is the only field a warm solve allocates
+    g = make_grid(-14, 14, -14, 14, n1=200, n2=200)
+    op = random_operator(g, tau, seed=30)
+    rhs = np.random.default_rng(31).normal(size=g.shape)
+    pcg_solve(op, rhs)  # warm-up: the workspace and the preconditioner
+    tracemalloc.start()
+    try:
+        x, report = pcg_solve(op, rhs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.iterations >= 2
+    assert peak <= 1.05 * x.nbytes
+
+
 def test_results_share_no_memory_with_the_workspace():
     g = make_grid(0, 1, 0, 2, n1=9, n2=7)
     op = random_operator(g, 0.5, seed=28)

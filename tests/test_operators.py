@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from sinegordon import (Boundary, coupling, coupling_prime, coupling_second, delta_x,
                         laplacian, make_grid)
 from sinegordon.operators import (BoundaryValues, delta_y, extrapolate_half_step,
-                                  one_minus_cos, time_average)
+                                  one_minus_cos, sin_cos, time_average)
 
 from oracles import centered_derivative, dense_laplacian_periodic
 
@@ -249,6 +250,21 @@ def test_one_minus_cos_has_no_cancellation():
     work = x.copy()
     assert one_minus_cos(work, work, np.empty_like(x)) is work
     np.testing.assert_allclose(work, expected, rtol=1e-15, atol=0.0)
+
+
+def test_sin_cos_matches_math_to_a_few_ulps():
+    eps = np.finfo(float).eps
+    marks = np.pi * np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
+    marks = np.concatenate([marks, -marks])
+    x = np.concatenate([np.linspace(-4 * np.pi, 4 * np.pi, 200_001), marks,
+                        np.nextafter(marks, np.inf), np.nextafter(marks, -np.inf)])
+    s, c = np.empty_like(x), np.empty_like(x)
+    sin_cos(x, s, c)
+    assert np.max(np.abs(s - [math.sin(a) for a in x])) <= 4 * eps
+    assert np.max(np.abs(c - [math.cos(a) for a in x])) <= 4 * eps
+    zero = np.zeros(3)
+    sin_cos(zero, zero, c[:3])
+    assert np.all(zero == 0.0) and np.all(c[:3] == 1.0)
 
 
 def test_operators_reject_grid_mismatch():

@@ -414,10 +414,12 @@ class TestFailuresSayWhere:
         assert ", target " in str(info.value)
 
     def test_stagnated_solve_names_step_and_t(self):
-        # tau/h 16 in 1D: the true residual stalls just above the CG target
+        # tau/h 32 in 1D: the true residual stalls at several times the CG
+        # target (at tau/h 16 it sits within 0.995-1.15x of it, so whether
+        # the solve stalls there depends on how its reductions round)
         p = get_problem("double-pole-1d")
         g = p.grid(3200)
-        tau = 16 * g.h1
+        tau = 32 * g.h1
         with pytest.raises(NonConvergenceError) as info:
             run(p, g, TimeGrid(tau, 3))
         assert str(info.value).startswith(f"step 1, t={tau:g}: CG stagnated at iteration ")

@@ -15,7 +15,7 @@ per-node discrete energy balance exact.
 ``ep-fds`` is the fully implicit two-level energy-preserving comparison
 scheme built on the discrete variational derivative of ``1 - cos``; it
 conserves the original (non-quadratized) discrete energy exactly and is
-solved by fixed-point iteration with an inner CG solve per sweep.
+solved by fixed-point iteration with an inner linear solve per sweep.
 """
 
 from __future__ import annotations
@@ -280,7 +280,11 @@ def ep_fds_step(
         [I - (tau^2/4) Lap] u_new = u + tau v + (tau^2/4) Lap u - (tau^2/2) Q(u_new, u)
 
     with ``Q`` the difference quotient of ``1 - cos`` (see :func:`_cos_quotient`);
-    each sweep is one CG solve.  The first sweep lags the quotient at its
+    each sweep is one :func:`pcg_solve`, warm-started from the last sweep's
+    solution.  On the spectral path (periodic 2D large steps) that solve is
+    direct, one FFT solve and one true-residual check, since the
+    preconditioner inverts this constant operator exactly; there the warm
+    start goes unused.  The first sweep lags the quotient at its
     limit ``Q(u, u) = sin u``.  Conserves the original discrete energy
     exactly.  The auxiliary field of the returned state is recomputed as
     ``sqrt(2 - cos u) = sqrt(1 + 2t^2/(1 + t^2))`` with ``t = tan(u/2)``

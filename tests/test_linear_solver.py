@@ -6,7 +6,7 @@ import pytest
 from sinegordon import (Boundary, NonConvergenceError, SystemOperator, coupling,
                         get_problem, make_grid, pcg_solve)
 
-from sinegordon.linear_solver import _spectral, _spectral_solve, _workspace
+from sinegordon.linear_solver import SolveReport, _spectral, _spectral_solve, _workspace
 
 from oracles import dense_system_matrix
 
@@ -376,6 +376,69 @@ def test_spectral_solve_stops_when_the_true_residual_stagnates():
     g = make_grid(0, 1, 0, 1, n1=32, n2=32)
     op = random_operator(g, 0.1, seed=43)
     rhs = np.random.default_rng(44).normal(size=g.shape)
+    iterations = []
+    with pytest.raises(NonConvergenceError, match=r"true residual .*recursive"):
+        pcg_solve(op, rhs, tol=1e-17, callback=lambda x: iterations.append(1))
+    assert 0 < len(iterations) <= 32  # max_iter is 320
+
+
+def count_applies(monkeypatch):
+    calls = []
+    apply = SystemOperator.apply
+    monkeypatch.setattr(SystemOperator, "apply",
+                        lambda self, w, out=None: calls.append(self) or apply(self, w, out=out))
+    return calls
+
+
+@pytest.mark.parametrize("with_zero_d", [False, True], ids=["no-d", "zero-d"])
+@pytest.mark.parametrize("grid", [
+    make_grid(0, 1, 0, 2, n1=9, n2=7), make_grid(0, 1, 0, 2, n1=64, n2=48),
+], ids=["9x7", "64x48"])
+def test_d_free_spectral_solve_is_one_exact_step(grid, with_zero_d, monkeypatch):
+    # Without d the spectral preconditioner is A's exact inverse: the solve
+    # returns P rhs, checked by one true residual, whatever x0 it is given.
+    tau = 2.0 * grid.h1
+    op = SystemOperator(grid, tau, np.zeros(grid.shape) if with_zero_d else None)
+    rng = np.random.default_rng(46)
+    rhs, x0 = rng.normal(size=(2, *grid.shape))
+    direct = _spectral_solve(_spectral(grid.shape, grid.h1, grid.h2, tau), rhs,
+                             np.empty(grid.shape))
+    calls = count_applies(monkeypatch)
+    x, report = pcg_solve(op, rhs)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(x, direct)
+    assert report == SolveReport(1, grid.l2(rhs - op.apply(x)), True, "spectral")
+    for start in (x0, -x0):
+        x_start, report_start = pcg_solve(op, rhs, x0=start)
+        np.testing.assert_array_equal(x_start, x)
+        assert report_start == report
+
+
+@pytest.mark.parametrize("grid,tau,d", [
+    (make_grid(-14, 14, -14, 14, n1=40, n2=40), 0.05, None),  # ring-paper's tau/h, 0.07
+    (make_grid(0, 3, n1=40), 0.3, None),                       # 1D, tau/h 4
+    (get_problem("line-kink-2d").grid(9, 7), 2.0, None),       # Dirichlet-exact
+    (make_grid(0, 1, 0, 2, n1=9, n2=7), 0.5, 0.3),             # spectral, d != 0
+], ids=["ring-paper", "1d", "dirichlet", "spectral-with-d"])
+def test_other_solves_start_from_x0(grid, tau, d):
+    # Only d-free spectral solves skip x0: every other solve handed its own
+    # solution as x0 returns it after no iteration.
+    op = SystemOperator(grid, tau, None if d is None else np.full(grid.shape, d))
+    x_star = np.where(grid.interior_mask, np.random.default_rng(47).normal(size=grid.shape),
+                      0.0)
+    x, report = pcg_solve(op, op.apply(x_star), x0=x_star)
+    assert report.preconditioner == ("jacobi" if d is None else "spectral")
+    assert report.iterations == 0 and report.final_residual == 0.0
+    np.testing.assert_array_equal(x, x_star)
+
+
+def test_d_free_spectral_solve_missing_its_target_continues_cg():
+    # At 1e-17 the direct solution misses the target: CG goes on from it until
+    # its true residual stagnates at round-off, and the solve fails.
+    g = make_grid(0, 1, 0, 1, n1=32, n2=32)
+    op = SystemOperator(g, 0.1)
+    rhs = np.random.default_rng(48).normal(size=g.shape)
+    assert pcg_solve(op, rhs)[1].iterations == 1
     iterations = []
     with pytest.raises(NonConvergenceError, match=r"true residual .*recursive"):
         pcg_solve(op, rhs, tol=1e-17, callback=lambda x: iterations.append(1))

@@ -5,8 +5,8 @@ import weakref
 import numpy as np
 import pytest
 
-from sinegordon import (NonConvergenceError, NumericalError, SchemeState, TimeGrid,
-                        Boundary, coupling, ep_fds_step, error_vs_exact, get_problem,
+from sinegordon import (NonConvergenceError, NumericalError, SchemeState, SystemOperator,
+                        TimeGrid, Boundary, coupling, ep_fds_step, error_vs_exact, get_problem,
                         global_energy_original, init_state, li_leps_first_step,
                         li_leps_step, make_grid, run)
 from sinegordon import schemes
@@ -513,14 +513,36 @@ def test_preconditioner_chosen_from_grid_and_tau(problem, n, tau, expected):
     assert result.preconditioner == expected
 
 
-def test_ep_fds_sweeps_take_one_spectral_iteration():
-    # The spectral preconditioner is the exact inverse of ep-fds' operator
+def test_ep_fds_sweeps_take_one_spectral_iteration(monkeypatch):
+    # The spectral preconditioner is the exact inverse of ep-fds' operator, so
+    # a sweep solves directly and applies the operator once, for its true
+    # residual.
     p = get_problem("ring")
-    reports = []
+    reports, applies = [], []
+    apply = SystemOperator.apply
+    monkeypatch.setattr(SystemOperator, "apply",
+                        lambda self, w, out=None: applies.append(self) or apply(self, w, out=out))
     run(p, p.grid(64), TimeGrid(0.5, 3), scheme="ep-fds",
         recorders=(lambda k, st: reports.extend(st.reports),))
     assert len(reports) > 3
     assert {(r.iterations, r.preconditioner) for r in reports} == {(1, "spectral")}
+    assert len(applies) == len(reports)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_rest_state_bit_stable_on_the_spectral_path(scheme):
+    # tau^2 (1/h1^2 + 1/h2^2) = 1.28 puts every solve on the spectral path,
+    # which acceptance criterion 10 (0.32, Jacobi) does not reach.
+    g = make_grid(0, 1, 0, 1, n1=8, n2=8)
+    tau = 0.1
+    state, preconditioners = rest_state(g), set()
+    if scheme == "li-leps":
+        state = li_leps_first_step(state, tau)
+    for _ in range(1000 if scheme == "ep-fds" else 999):
+        state = (ep_fds_step if scheme == "ep-fds" else li_leps_step)(state, tau)
+        preconditioners.update(r.preconditioner for r in state.reports)
+    assert preconditioners == {"spectral"}
+    assert np.all(state.u == 0.0) and np.all(state.v == 0.0) and np.all(state.r == 1.0)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

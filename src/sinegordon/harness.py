@@ -189,13 +189,13 @@ def cmd_run(cfg: RunConfig) -> int:
     snaps = _SnapshotRecorder(snap_steps)
 
     failure = None
+    stats = {}
     try:
-        result = run(problem, grid, time_grid, scheme=cfg.scheme,
-                     recorders=(energy, snaps), cg_tol=cfg.cg_tol,
-                     fp_tol=cfg.fp_tol, fp_max=cfg.fp_max)
+        stats = _solver_stats(run(problem, grid, time_grid, scheme=cfg.scheme,
+                                  recorders=(energy, snaps), cg_tol=cfg.cg_tol,
+                                  fp_tol=cfg.fp_tol, fp_max=cfg.fp_max))
     except NumericalError as exc:
         failure = str(exc)
-        result = None
 
     write_energy_csv(out / "energy.csv", energy.records)
     for step, t_req in sorted(snaps.steps.items()):
@@ -208,10 +208,20 @@ def cmd_run(cfg: RunConfig) -> int:
             values = mirror_field(problem, values)
         write_field_csv(out / _field_csv_name(t_req), grid, values)
 
-    extra = {"n_steps": time_grid.m, "h1": grid.h1, "h2": grid.h2}
-    if result is not None:
-        extra.update(_solver_stats(result))
+    extra = {"n_steps": time_grid.m, "h1": grid.h1, "h2": grid.h2, **stats}
     return _write_meta(out, "run", asdict(cfg), extra, failure)
+
+
+def _converge_row(problem: Problem, grid: Grid, time_grid: TimeGrid, cfg: RunConfig) -> dict:
+    """One level of a convergence ladder: its mesh, errors and stepping time.
+
+    The run's final level dies on return, before the next level starts.
+    """
+    result = run(problem, grid, time_grid, scheme=cfg.scheme,
+                 cg_tol=cfg.cg_tol, fp_tol=cfg.fp_tol, fp_max=cfg.fp_max)
+    err = error_vs_exact(result.state, problem)
+    return {"h": grid.h1, "tau": time_grid.tau, "l2": err.l2,
+            "linf": err.linf, "h1": err.h1, "cpu_s": result.wall_seconds}
 
 
 def cmd_converge(cfg: RunConfig, levels: int) -> int:
@@ -233,14 +243,10 @@ def cmd_converge(cfg: RunConfig, levels: int) -> int:
         grid = problem.grid(n1, n2)
         time_grid = TimeGrid.from_final_time(cfg.tau / scale, cfg.T)
         try:
-            result = run(problem, grid, time_grid, scheme=cfg.scheme,
-                         cg_tol=cfg.cg_tol, fp_tol=cfg.fp_tol, fp_max=cfg.fp_max)
+            rows.append(_converge_row(problem, grid, time_grid, cfg))
         except NumericalError as exc:
             failure = f"level {lvl}: {exc}"
             break
-        err = error_vs_exact(result.state, problem)
-        rows.append({"h": grid.h1, "tau": time_grid.tau, "l2": err.l2,
-                     "linf": err.linf, "h1": err.h1, "cpu_s": result.wall_seconds})
 
     orders = {}
     if len(rows) > 1:
@@ -265,7 +271,8 @@ def cmd_compare(cfg: RunConfig) -> int:
     """Run both schemes on one config; emit per-scheme energy traces and cpu.csv.
 
     The schemes run sequentially so the wall-clock comparison is not skewed by
-    contention.
+    contention.  Only a finished run's solver totals are kept, so its final
+    level is freed before the next scheme starts.
     """
     problem, grid, time_grid = _build(cfg)
     out = Path(cfg.out_dir)
@@ -277,15 +284,16 @@ def cmd_compare(cfg: RunConfig) -> int:
     for scheme in SCHEMES:
         energy = EnergyRecorder(every=cfg.record_every)
         try:
-            result = run(problem, grid, time_grid, scheme=scheme, recorders=(energy,),
-                         cg_tol=cfg.cg_tol, fp_tol=cfg.fp_tol, fp_max=cfg.fp_max)
+            stats = _solver_stats(run(problem, grid, time_grid, scheme=scheme,
+                                      recorders=(energy,), cg_tol=cfg.cg_tol,
+                                      fp_tol=cfg.fp_tol, fp_max=cfg.fp_max))
         except NumericalError as exc:
             failure = f"{scheme}: {exc}"
         write_energy_csv(out / f"energy_{scheme}.csv", energy.records)
         if failure is not None:
             break
-        cpu_rows.append((scheme, grid.num_nodes, result.wall_seconds))
-        solver_stats[scheme] = _solver_stats(result)
+        cpu_rows.append((scheme, grid.num_nodes, stats["wall_seconds_stepping"]))
+        solver_stats[scheme] = stats
 
     with open(out / "cpu.csv", "w", newline="") as fh:
         w = csv.writer(fh)

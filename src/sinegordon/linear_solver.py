@@ -32,10 +32,12 @@ low-edge ring, and the solve keeps them zero there.
 
 The solver's work fields and the matvec's scratch field come from one
 workspace per grid shape (the most recent shape only), kept across solves,
-so a step faults in no fresh pages for them; the spectral symbol and its
-complex work field are kept likewise for the most recent ``(grid, tau)``.
-Every solution and every ``apply`` without ``out`` is a new array that shares
-no memory with them.
+so a step faults in no fresh pages for them.  The workspace's fourth buffer,
+the scratch field, also holds the complex ``rfft2`` half-spectrum of the
+spectral preconditioner, since the scratch field is idle while the transform
+runs; the spectral symbol is kept for the most recent ``(grid, tau)``.  Every
+solution without ``out`` and every ``apply`` without ``out`` is a new array
+that shares no memory with them.
 """
 
 from __future__ import annotations
@@ -79,13 +81,21 @@ class SolveReport:
 
 @lru_cache(maxsize=1)
 def _workspace(shape: tuple[int, int]) -> tuple[np.ndarray, ...]:
-    """Four work fields of one grid shape: CG's ``r``, ``p``, ``q`` and a scratch field.
+    """CG's ``r``, ``p`` and ``q``, a scratch field and the ``rfft2`` half-spectrum of a shape.
 
     Kept for the most recent shape only.  The scratch field takes the
     products of CG's two axpys and the neighbour sums of
-    :meth:`SystemOperator.apply`; inner products need no field.
+    :meth:`SystemOperator.apply`; inner products need no field.  It is dead
+    whenever the spectral preconditioner runs, so it shares one buffer of
+    ``max(n2*n1, 2*n2*(n1//2 + 1))`` floats with the complex half-spectrum
+    of shape ``(n2, n1//2 + 1)``, which that preconditioner transforms in.
     """
-    return tuple(np.empty(shape) for _ in range(4))
+    n2, n1 = shape
+    half = (n2, n1 // 2 + 1)
+    buf = np.empty(max(n2 * n1, 2 * half[0] * half[1]))
+    scratch = buf[:n2 * n1].reshape(shape)
+    spectrum = buf[:2 * half[0] * half[1]].view(complex).reshape(half)
+    return np.empty(shape), np.empty(shape), np.empty(shape), scratch, spectrum
 
 
 # Spectral above this value of tau^2 (1/h1^2 + 1/h2^2), Jacobi below.  Whole
@@ -120,37 +130,34 @@ def _is_spectral(grid: Grid, tau: float) -> bool:
 
 
 @lru_cache(maxsize=1)
-def _spectral(shape: tuple[int, int], h1: float, h2: float,
-              tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """Symbol of ``(I - (tau^2/4) Lap)^-1`` over the ``rfft2`` half-spectrum, and a work field.
+def _spectral(shape: tuple[int, int], h1: float, h2: float, tau: float) -> np.ndarray:
+    """Symbol of ``(I - (tau^2/4) Lap)^-1`` over the ``rfft2`` half-spectrum.
 
     The periodic 5-point Laplacian has eigenvalues ``-lam`` with ``lam =
     (4/h1^2) sin^2(pi k1/n1) + (4/h2^2) sin^2(pi k2/n2)``.  The symbol is real,
-    of shape ``(n2, n1//2 + 1)``; the work field is complex of that shape.
-    Kept for the most recent grid and ``tau``, which both schemes share.  The
-    key is plain values: a ``Grid`` key would keep that grid and its cached
-    arrays alive after its run.
+    of shape ``(n2, n1//2 + 1)``.  Kept for the most recent grid and ``tau``,
+    which both schemes share.  The key is plain values: a ``Grid`` key would
+    keep that grid and its cached arrays alive after its run.
     """
     n2, n1 = shape
     k1 = np.arange(n1 // 2 + 1)
     k2 = np.arange(n2)[:, None]
     lam = (4.0 / h1**2) * np.sin(np.pi * k1 / n1) ** 2
     lam = lam + (4.0 / h2**2) * np.sin(np.pi * k2 / n2) ** 2
-    symbol = 1.0 / (1.0 + 0.25 * tau * tau * lam)
-    return symbol, np.empty(symbol.shape, dtype=complex)
+    return 1.0 / (1.0 + 0.25 * tau * tau * lam)
 
 
-def _spectral_solve(spectral: tuple[np.ndarray, np.ndarray], r: np.ndarray,
-                    out: np.ndarray) -> np.ndarray:
-    """``(I - (tau^2/4) Lap)^-1 r`` into ``out``, through the complex work field.
+def _spectral_solve(symbol: np.ndarray, r: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``(I - (tau^2/4) Lap)^-1 r`` into ``out``, through the workspace's half-spectrum.
 
     Allocates nothing: the real and imaginary parts are scaled by the real
     symbol separately (a float-by-complex product would allocate a casting
-    buffer), and the inverse transform runs as a full FFT along y into the
-    work field and a real one along x into ``out``, since ``irfft2`` ignores
-    ``out``.
+    buffer), and the inverse transform runs as a full FFT along y in place
+    and a real one along x into ``out``, since ``irfft2`` ignores ``out``.
+    The half-spectrum shares memory with the workspace's scratch field, so
+    neither ``r`` nor ``out`` may be that field.
     """
-    symbol, c = spectral
+    c = _workspace(r.shape)[4]
     fft = np.fft
     fft.rfft2(r, out=c)
     c.real *= symbol
@@ -272,6 +279,7 @@ def pcg_solve(
     max_iter: int | None = None,
     x0: np.ndarray | None = None,
     callback=None,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, SolveReport]:
     """Solve ``op @ x = rhs`` by preconditioned CG on the grid inner product.
 
@@ -308,11 +316,20 @@ def pcg_solve(
     this one.
 
     The work fields (residual ``r``, search direction ``p``, its image ``q``
-    under ``op``, and a scratch field for the axpy products) are the
-    per-shape workspace, kept across solves and updated in place; once ``r``
-    is updated ``q`` is dead and holds the preconditioned residual.  The
-    iterate ``x`` is a new array, which the solve returns: the caller owns
-    it.  Inner products are one BLAS dot each (``np.dot`` over the raveled
+    under ``op``, and a scratch field for the axpy products that also holds
+    the spectral half-spectrum) are the per-shape workspace, kept across
+    solves and updated in place; once ``r`` is updated ``q`` is dead and
+    holds the preconditioned residual.  ``rhs``, ``x0`` and ``out`` must not
+    be workspace fields.
+
+    The solution goes into ``out`` (a float field on the grid that does not
+    overlap ``rhs``), which the solve returns; without ``out`` it goes into a
+    new array, which the caller owns.  ``out`` may be ``x0`` itself: CG then
+    iterates in place from it, and the direct spectral path writes ``P rhs``
+    over it.  Either way the arithmetic is that of ``out=None``, so the
+    result is the same bit for bit.
+
+    Inner products are one BLAS dot each (``np.dot`` over the raveled
     fields), one pass that writes nothing.  The dot's last bits depend on
     the BLAS build and its thread count (OpenBLAS splits dots of more than
     10,000 nodes across its threads), so repeated solves are bit-identical
@@ -327,6 +344,12 @@ def pcg_solve(
     """
     grid = op.grid
     grid.check_field(rhs, "rhs")
+    if out is not None:
+        grid.check_field(out, "out")
+        if out.dtype != float:
+            raise ValueError("out must be a float field")
+        if np.may_share_memory(out, rhs):
+            raise ValueError("out must not overlap rhs")
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iter is None:
@@ -341,7 +364,7 @@ def pcg_solve(
         def precondition(r, out):
             return np.divide(r, diag, out=out)
     check_true = _is_large_step(grid, op.tau)
-    r, p, q, prod = _workspace(grid.shape)
+    r, p, q, prod, _ = _workspace(grid.shape)
 
     def inner(a, b):
         return grid.cell_area * np.dot(a.reshape(-1), b.reshape(-1))
@@ -351,17 +374,23 @@ def pcg_solve(
 
     target = tol * max(1.0, norm(rhs))
     start = 0
+    # A new x comes after the Jacobi diagonal on the heap, so the diagonal,
+    # freed when the solve returns, is reused by the next step instead of
+    # being trimmed from the heap top and faulted in again: 4 minor faults
+    # per li-leps step on ring 200² with x allocated here, 136 with x first.
+    x = np.empty(grid.shape) if out is None else out
     if spectral and (op.d is None or not op.d.any()):
         # P is the exact inverse of A: CG's first step from zero, alpha = 1
-        x = precondition(rhs, np.empty(grid.shape))
+        precondition(rhs, x)
         op.apply(x, out=q)
         np.subtract(rhs, q, out=r)
         start = 1
     elif x0 is None:
-        x = np.zeros(grid.shape)
+        x.fill(0.0)
         np.copyto(r, rhs)
     else:
-        x = np.array(x0, dtype=float)
+        if x0 is not x:
+            np.copyto(x, grid.check_field(x0, "x0"))
         op.apply(x, out=r)
         np.subtract(rhs, r, out=r)
     res = replaced = norm(r)

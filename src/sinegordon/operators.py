@@ -207,7 +207,17 @@ def coupling(x, out: np.ndarray | None = None) -> np.ndarray:
     non-finite input.
     """
     x = _require_finite(x)
-    t = np.multiply(x, 0.5, out=np.empty_like(x) if out is None else out)
+    t = _coupling(x, np.empty_like(x) if out is None else out)
+    return t if out is not None or t.ndim else t[()]
+
+
+def _coupling(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """:func:`coupling` of a float array already known to be finite, into ``out``.
+
+    Skips the finiteness pass, for callers whose input is built from
+    validated fields; ``out`` may be ``x``.
+    """
+    t = np.multiply(x, 0.5, out=out)
     np.tan(t, out=t)
     radicand = np.multiply(t, t, out=np.empty_like(t))
     radicand *= 0.75
@@ -216,7 +226,7 @@ def coupling(x, out: np.ndarray | None = None) -> np.ndarray:
     radicand *= t
     radicand += 0.25
     t /= np.sqrt(radicand, out=radicand)
-    return t if out is not None or t.ndim else t[()]
+    return t
 
 
 def one_minus_cos(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:

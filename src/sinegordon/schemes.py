@@ -30,8 +30,10 @@ import numpy as np
 from .grid import Boundary, Grid
 from .linear_solver import (CG_TOL, NumericalError, SolveReport, SystemOperator,
                             _workspace, pcg_solve)
-from .operators import (BoundaryValues, coupling, extrapolate_half_step, laplacian,
-                        one_minus_cos, sin_cos)
+from .operators import BoundaryValues, extrapolate_half_step, laplacian, one_minus_cos, sin_cos
+# The steps read only validated fields, so they take operators.coupling's
+# kernel, which skips the finiteness pass; perfbench traces it by this name.
+from .operators import _coupling as coupling
 from .problems import DirichletBoundary, Problem
 
 
@@ -45,9 +47,10 @@ class SchemeState:
     On Dirichlet-exact grids ``bc`` is the problem's edge-data source, handed
     on from level to level, and ``bv`` the edge values at ``t``, evaluated
     once per level for its energy and next step; periodic states carry
-    neither.  ``reports`` are the CG solves of the step that produced this
-    level (one for li-leps, one per fixed-point sweep for ep-fds, none at
-    t = 0).
+    neither.  ``u``, ``v``, ``r`` and ``u_prev`` are checked finite on
+    construction, so the steps read only validated fields.  ``reports`` are
+    the CG solves of the step that produced this level (one for li-leps, one
+    per fixed-point sweep for ep-fds, none at t = 0).
     """
 
     grid: Grid
@@ -61,13 +64,13 @@ class SchemeState:
     reports: tuple[SolveReport, ...] = ()
 
     def __post_init__(self):
-        for name in ("u", "v", "r"):
+        for name in ("u", "v", "r", "u_prev"):
             arr = getattr(self, name)
+            if arr is None:
+                continue
             self.grid.check_field(arr, name)
             if not np.all(np.isfinite(arr)):
                 raise NumericalError(f"non-finite values in {name} at t={self.t}")
-        if self.u_prev is not None:
-            self.grid.check_field(self.u_prev, "u_prev")
         if self.grid.boundary is Boundary.DIRICHLET_EXACT:
             ok = self.bv is not None and self.bc is not None and self.bc.grid == self.grid
         else:
@@ -155,9 +158,11 @@ def _li_advance(state: SchemeState, tau: float, d: np.ndarray, cg_tol: float) ->
     """Shared body of the first and regular steps; ``d`` is the frozen coupling field.
 
     The right-hand side ``u + tau v + (tau^2/4) Lap u + (tau^2/8) d^2 u -
-    (tau^2/2) d r`` is assembled in place in the new level's ``v`` and ``r``
-    fields, which are free until the solve returns; both updates then start
-    from the one difference ``u_new - u``.
+    (tau^2/2) d r`` is assembled in place in the new level's ``v`` field,
+    which is free until the solve returns, through the CG workspace's scratch
+    field, idle until the solve starts.  The new level's ``r`` is allocated
+    after the solve, and both updates start from the one difference
+    ``u_new - u``.
     """
     grid = state.grid
     if tau <= 0:
@@ -168,7 +173,7 @@ def _li_advance(state: SchemeState, tau: float, d: np.ndarray, cg_tol: float) ->
 
     rhs = laplacian(grid, u, state.bv)
     rhs *= 0.25 * t2
-    s = np.multiply(v, tau)
+    s = np.multiply(v, tau, out=_workspace(grid.shape)[3])
     s += u
     rhs += s
     np.multiply(d, d, out=s)
@@ -184,7 +189,7 @@ def _li_advance(state: SchemeState, tau: float, d: np.ndarray, cg_tol: float) ->
         u_new += known
 
     v_new = np.subtract(u_new, u, out=rhs)
-    r_new = np.multiply(d, 0.5, out=s)
+    r_new = np.multiply(d, 0.5)
     r_new *= v_new
     r_new += r
     v_new *= 2.0
@@ -197,13 +202,14 @@ def _li_advance(state: SchemeState, tau: float, d: np.ndarray, cg_tol: float) ->
 def li_leps_step(state: SchemeState, tau: float, cg_tol: float = CG_TOL) -> SchemeState:
     """Regular three-level step; the coupling is frozen at the extrapolated half step.
 
-    Reads only ``state`` (its fields, previous level and edge data); the new
-    level carries its one CG report in ``reports``.
+    Reads only ``state`` (its fields, previous level and edge data), whose
+    fields its construction checked finite, so the coupling skips that check;
+    the new level carries its one CG report in ``reports``.
     """
     if state.u_prev is None:
         raise ValueError("li_leps_step needs the previous level; take li_leps_first_step first")
     d = extrapolate_half_step(state.u, state.u_prev)
-    return _li_advance(state, tau, coupling(d, out=d), cg_tol)
+    return _li_advance(state, tau, coupling(d, d), cg_tol)
 
 
 def li_leps_first_step(state: SchemeState, tau: float, cg_tol: float = CG_TOL) -> SchemeState:
@@ -213,7 +219,7 @@ def li_leps_first_step(state: SchemeState, tau: float, cg_tol: float = CG_TOL) -
     """
     if state.u_prev is not None:
         raise ValueError("first step must start from level 0 (no previous level)")
-    d = coupling(state.u)
+    d = coupling(state.u, np.empty(state.grid.shape))
     return _li_advance(state, tau, d, cg_tol)
 
 
@@ -281,8 +287,9 @@ def ep_fds_step(
 
     with ``Q`` the difference quotient of ``1 - cos`` (see :func:`_cos_quotient`);
     each sweep is one :func:`pcg_solve`, warm-started from the last sweep's
-    solution.  On the spectral path (periodic 2D large steps) that solve is
-    direct, one FFT solve and one true-residual check, since the
+    solution and solved in place in the new level's ``u`` field, a copy of
+    the old level's.  On the spectral path (periodic 2D large steps) that
+    solve is direct, one FFT solve and one true-residual check, since the
     preconditioner inverts this constant operator exactly; there the warm
     start goes unused.  The first sweep lags the quotient at its
     limit ``Q(u, u) = sin u``.  Conserves the original discrete energy
@@ -315,7 +322,7 @@ def ep_fds_step(
     r_new += u
     base += r_new
     known, bv, u0 = _lift(state, tau, base, r_new)
-    scratch, scratch2 = _workspace(grid.shape)[2:]
+    scratch, scratch2 = _workspace(grid.shape)[2:4]
 
     # The sweeps run on the solve's unknowns: the quotient of two fields that
     # are zero on the pinned ring is zero there too, so every right-hand side
@@ -327,18 +334,20 @@ def ep_fds_step(
     # linear part of the residual is controlled by the CG contract itself, so
     # once the quotient lag drops below tolerance the solved equation holds to
     # the sum of the two tolerances.
+    #
+    # Every sweep solves in place in the new level's u field, starting from
+    # the last sweep's solution; the quotients keep reading u0.
     target = fp_tol * max(1.0, grid.l2(base))
     sin_cos(u0, sin_old, cos_old)
     np.copyto(spare, sin_old)
     quotient, rhs = spare, r_new
-    w = u0
+    u_new = u0.copy()
     reports = []
     for _ in range(fp_max):
         np.multiply(quotient, 0.5 * t2, out=rhs)
         np.subtract(base, rhs, out=rhs)
-        w, report = pcg_solve(op, rhs, tol=cg_tol, x0=w)
-        reports.append(report)
-        new_quotient = _cos_quotient(w, u0, sin_old, cos_old, rhs, scratch, scratch2)
+        reports.append(pcg_solve(op, rhs, tol=cg_tol, x0=u_new, out=u_new)[1])
+        new_quotient = _cos_quotient(u_new, u0, sin_old, cos_old, rhs, scratch, scratch2)
         lag = 0.5 * t2 * grid.l2(np.subtract(new_quotient, quotient, out=scratch))
         quotient, rhs = new_quotient, quotient
         if lag <= target:
@@ -348,7 +357,6 @@ def ep_fds_step(
         raise NumericalError(
             f"fixed-point iteration did not converge within {fp_max} sweeps{last}")
 
-    u_new = w
     if known is not None:
         u_new += known
     np.subtract(u_new, u, out=v_new)

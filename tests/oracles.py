@@ -4,10 +4,29 @@ Everything here is deliberately naive: python loops, index arithmetic, and
 dense linear algebra.  None of it shares code paths with the library's
 vectorized operators or matrix-free solver, so agreement is meaningful.  The
 two probes at the end check a problem's exact solution by finite
-differences of the closed form alone.
+differences of the closed form alone.  ``peak_fields`` measures memory in
+the unit the solver's memory model counts: float fields of one grid.
 """
 
+import math
+import tracemalloc
+
 import numpy as np
+
+
+def peak_fields(fn, shape):
+    """Peak memory that ``fn()`` allocates, in float64 fields of ``shape``.
+
+    Traced by ``tracemalloc`` from the call on, so memory live before it
+    does not count; numpy reports its array buffers to ``tracemalloc``.
+    """
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * math.prod(shape))
 
 
 def brute_force_inner(grid, U, V):

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,7 @@ from sinegordon import (SchemeState, TimeGrid, convergence_orders, ep_fds_step,
                         original_law_residual, run)
 from sinegordon.diagnostics import EnergyRecorder, local_energy_density
 
-from oracles import pointwise_density
+from oracles import peak_fields, pointwise_density
 
 
 def rest_state(grid, t=0.0):
@@ -181,15 +179,8 @@ class TestEnergyRecorder:
         state = li_leps_first_step(init_state(p, p.grid(200)), 0.01)
         rec = EnergyRecorder()
         rec(0, state)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            rec(1, state)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        assert peak_fields(lambda: rec(1, state), state.grid.shape) <= 3
         assert len(rec.records) == 2
-        assert peak - before <= 3 * state.u.nbytes
 
     def test_rejects_bad_cadence(self):
         with pytest.raises(ValueError):

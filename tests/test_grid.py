@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ import pytest
 from sinegordon import Boundary, delta_x, make_grid
 from sinegordon.operators import delta_y, h1_norm
 
-from oracles import brute_force_inner
+from oracles import brute_force_inner, peak_fields
 
 
 class TestMakeGrid:
@@ -103,13 +102,7 @@ class TestNormsAndInner:
         U, V = np.random.default_rng(7).normal(size=(2, *g.shape))
         for reduce in (lambda: g.l2(U), lambda: g.inner(U, V)):
             reduce()
-            tracemalloc.start()
-            try:
-                reduce()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 0.1 * U.nbytes
+            assert peak_fields(reduce, g.shape) < 0.1
 
     def test_inner_of_strided_views(self):
         g = make_grid(0, 1, 0, 1, n1=6, n2=5)

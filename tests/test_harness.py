@@ -9,10 +9,14 @@ import numpy as np
 import pytest
 
 import sinegordon.harness
+import sinegordon.linear_solver
+import sinegordon.schemes
 from sinegordon.harness import (ConfigError, RunConfig, _snapshot_steps,
                                 cmd_compare, cmd_converge, cmd_run, main)
 from sinegordon.linear_solver import NumericalError
 from sinegordon.schemes import TimeGrid
+
+from oracles import peak_fields
 
 
 def read_csv(path):
@@ -396,3 +400,44 @@ def test_repeated_compare_is_byte_identical(tmp_path):
             del scheme_stats["wall_seconds_stepping"]
     assert solver[0] == solver[1]
     assert solver[0]["ep-fds"]["fp_sweeps"] > 0
+
+
+class TestMemoryModel:
+    """Traced peaks of whole commands on ring 128², in float fields of the grid.
+
+    A step holds one old level (``u``, ``v``, ``r``, ``u_prev``), one new
+    level and one set of solver work fields; no command keeps a finished run
+    while the next one steps.  Each bound is about half a field above the
+    measured peak.  The solver caches are cleared first, so each peak counts
+    them, whatever ran before.
+    """
+
+    @staticmethod
+    def peak(tmp_path, *args):
+        import numpy.fft  # noqa: F401  (loaded lazily by spectral runs; not a field)
+
+        def command(n):
+            assert main([*args, "--problem", "ring", "--n", str(n),
+                         "--out", str(tmp_path)]) == 0
+
+        command(16)  # loads what the command imports on first use
+        sinegordon.linear_solver._workspace.cache_clear()
+        sinegordon.linear_solver._spectral.cache_clear()
+        sinegordon.schemes._sweep_fields.cache_clear()
+        return peak_fields(lambda: command(128), (128, 128))
+
+    def test_compare_frees_each_run_before_the_next(self, tmp_path):
+        # 14.5 fields; 19.4 while li-leps' final level outlived its run
+        assert self.peak(tmp_path, "compare", "--tau", "0.015", "--T", "0.15") <= 15.0
+
+    # Measured peaks (and before in-place sweeps, an rhs assembled through
+    # the workspace and a half-spectrum in the scratch field): li-leps 14.4
+    # (15.4) and ep-fds 15.6 (16.4) on Jacobi, li-leps 14.0 (15.9) and
+    # ep-fds 16.1 (17.9) on the spectral path.  `run` keeps its t = 0
+    # snapshot, one field.
+    @pytest.mark.parametrize("scheme,tau,T,bound", [
+        ("li-leps", "0.015", "0.15", 14.9), ("ep-fds", "0.015", "0.15", 16.0),
+        ("li-leps", "0.3", "0.9", 14.5), ("ep-fds", "0.3", "0.9", 16.5),
+    ], ids=["li-leps-jacobi", "ep-fds-jacobi", "li-leps-spectral", "ep-fds-spectral"])
+    def test_run_peak(self, tmp_path, scheme, tau, T, bound):
+        assert self.peak(tmp_path, "run", "--scheme", scheme, "--tau", tau, "--T", T) <= bound

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,7 @@ from sinegordon import (Boundary, NonConvergenceError, SystemOperator, coupling,
 
 from sinegordon.linear_solver import SolveReport, _spectral, _spectral_solve, _workspace
 
-from oracles import dense_system_matrix
+from oracles import dense_system_matrix, peak_fields
 
 
 def random_operator(grid, tau, seed=0):
@@ -170,15 +168,9 @@ def test_repeat_solve_allocates_at_most_two_fields():
     op = random_operator(g, 0.3, seed=26)
     rng = np.random.default_rng(27)
     rhs, x0 = rng.normal(size=g.shape), rng.normal(size=g.shape)
-    pcg_solve(op, rhs, x0=x0)  # warm-up: the workspace and the diagonal
-    tracemalloc.start()
-    try:
-        x, report = pcg_solve(op, rhs, x0=x0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, report = pcg_solve(op, rhs, x0=x0)  # warm-up: the workspace and the diagonal
     assert report.iterations >= 2
-    assert peak <= 2 * x.nbytes
+    assert peak_fields(lambda: pcg_solve(op, rhs, x0=x0), g.shape) <= 2
 
 
 @pytest.mark.parametrize("tau", [0.01, 0.2], ids=["jacobi", "spectral"])
@@ -188,15 +180,9 @@ def test_warm_solve_allocates_only_its_result(tau):
     g = make_grid(-14, 14, -14, 14, n1=200, n2=200)
     op = random_operator(g, tau, seed=30)
     rhs = np.random.default_rng(31).normal(size=g.shape)
-    pcg_solve(op, rhs)  # warm-up: the workspace and the preconditioner
-    tracemalloc.start()
-    try:
-        x, report = pcg_solve(op, rhs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, report = pcg_solve(op, rhs)  # warm-up: the workspace and the preconditioner
     assert report.iterations >= 2
-    assert peak <= 1.05 * x.nbytes
+    assert peak_fields(lambda: pcg_solve(op, rhs), g.shape) <= 1.05
 
 
 def test_results_share_no_memory_with_the_workspace():
@@ -443,3 +429,34 @@ def test_d_free_spectral_solve_missing_its_target_continues_cg():
     with pytest.raises(NonConvergenceError, match=r"true residual .*recursive"):
         pcg_solve(op, rhs, tol=1e-17, callback=lambda x: iterations.append(1))
     assert 0 < len(iterations) <= 32  # max_iter is 320
+
+
+@pytest.mark.parametrize("grid,tau,with_d", [
+    (make_grid(-14, 14, -14, 14, n1=40, n2=40), 0.05, True),  # Jacobi
+    (make_grid(0, 1, 0, 2, n1=12, n2=10), 0.3, True),         # spectral CG
+    (make_grid(0, 1, 0, 2, n1=12, n2=10), 0.3, False),        # direct spectral
+], ids=["jacobi", "spectral-cg", "direct"])
+def test_solve_into_x0_runs_in_place_and_bit_identical(grid, tau, with_d):
+    op = random_operator(grid, tau, seed=60) if with_d else SystemOperator(grid, tau)
+    rng = np.random.default_rng(61)
+    rhs, x0 = rng.normal(size=(2, *grid.shape))
+    expected, expected_report = pcg_solve(op, rhs, x0=x0)
+    out = x0.copy()
+    iterates = []
+    x, report = pcg_solve(op, rhs, x0=out, out=out,
+                          callback=lambda it: iterates.append(it.ctypes.data))
+    assert x is out
+    np.testing.assert_array_equal(x, expected)
+    assert report == expected_report
+    assert report.iterations >= 1 and set(iterates) <= {out.ctypes.data}
+    assert len(iterates) == (report.iterations if with_d else 0)
+
+
+def test_out_must_be_a_float_field_apart_from_rhs():
+    g = make_grid(0, 1, 0, 1, n1=8, n2=8)
+    op = random_operator(g, 0.1, seed=62)
+    rhs = np.random.default_rng(63).normal(size=g.shape)
+    for bad, match in [(np.empty((8, 7)), "shape"), (rhs, "overlap"), (rhs[::-1], "overlap"),
+                       (np.empty(g.shape, dtype=np.float32), "float")]:
+        with pytest.raises(ValueError, match=match):
+            pcg_solve(op, rhs, out=bad)

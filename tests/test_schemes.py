@@ -400,6 +400,14 @@ class TestRun:
 
 
 class TestFailuresSayWhere:
+    @pytest.mark.parametrize("name", ["u", "v", "r", "u_prev"])
+    def test_non_finite_field_named_on_construction(self, name):
+        g = make_grid(0, 1, 0, 1, n1=8, n2=8)
+        fields = {key: np.zeros(g.shape) for key in ("u", "v", "r", "u_prev")}
+        fields[name][3, 4] = np.nan
+        with pytest.raises(NumericalError, match=f"non-finite values in {name} at t=0.5$"):
+            SchemeState(g, 0.5, **fields)
+
     def test_diverging_fixed_point_names_step_t_and_lag(self):
         # tau/h 10 on line-kink-2d: the lagged quotient no longer contracts
         p = get_problem("line-kink-2d")

@@ -98,20 +98,6 @@ class Grid:
         """
         return np.meshgrid(self.x, self.y)
 
-    @cached_property
-    def interior_mask(self) -> np.ndarray:
-        """True where the time steppers solve for unknowns.
-
-        All nodes on periodic grids; Dirichlet-exact grids exclude the pinned
-        low-edge ring ``j1 == 0`` or ``j2 == 0``.
-        """
-        mask = np.ones(self.shape, dtype=bool)
-        if self.boundary is Boundary.DIRICHLET_EXACT:
-            mask[0, :] = False
-            mask[:, 0] = False
-        mask.setflags(write=False)
-        return mask
-
     def check_field(self, U: np.ndarray, name: str = "field") -> np.ndarray:
         """Validate that ``U`` is a field on this grid; returns ``U``."""
         U = np.asarray(U)

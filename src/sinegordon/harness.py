@@ -29,7 +29,7 @@ from .diagnostics import EnergyRecorder, error_vs_exact, convergence_orders
 from .grid import Grid
 from .linear_solver import CG_TOL, NumericalError
 from .problems import PROBLEMS, Problem, get_problem, mirror_field
-from .schemes import FP_MAX, FP_TOL, SCHEMES, RunResult, TimeGrid, run
+from .schemes import FP_MAX, SCHEMES, RunResult, TimeGrid, run
 
 
 class ConfigError(Exception):
@@ -48,7 +48,6 @@ class RunConfig:
     snap_times: tuple[float, ...] = ()
     out_dir: str = "out"
     cg_tol: float = CG_TOL
-    fp_tol: float = FP_TOL
     fp_max: int = FP_MAX
     transform: bool = False
     mirror: bool = False
@@ -61,10 +60,10 @@ class RunConfig:
                               f"available: {sorted(PROBLEMS)}")
         if self.record_every < 1:
             raise ConfigError("record cadence must be at least 1")
-        for name in ("tau", "T", "cg_tol", "fp_tol"):
+        for name in ("tau", "T", "cg_tol"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
-        for name in ("tau", "cg_tol", "fp_tol"):
+        for name in ("tau", "cg_tol"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if self.T < 0:
@@ -192,8 +191,7 @@ def cmd_run(cfg: RunConfig) -> int:
     stats = {}
     try:
         stats = _solver_stats(run(problem, grid, time_grid, scheme=cfg.scheme,
-                                  recorders=(energy, snaps), cg_tol=cfg.cg_tol,
-                                  fp_tol=cfg.fp_tol, fp_max=cfg.fp_max))
+                                  recorders=(energy, snaps), cg_tol=cfg.cg_tol, fp_max=cfg.fp_max))
     except NumericalError as exc:
         failure = str(exc)
 
@@ -217,8 +215,7 @@ def _converge_row(problem: Problem, grid: Grid, time_grid: TimeGrid, cfg: RunCon
 
     The run's final level dies on return, before the next level starts.
     """
-    result = run(problem, grid, time_grid, scheme=cfg.scheme,
-                 cg_tol=cfg.cg_tol, fp_tol=cfg.fp_tol, fp_max=cfg.fp_max)
+    result = run(problem, grid, time_grid, scheme=cfg.scheme, cg_tol=cfg.cg_tol, fp_max=cfg.fp_max)
     err = error_vs_exact(result.state, problem)
     return {"h": grid.h1, "tau": time_grid.tau, "l2": err.l2,
             "linf": err.linf, "h1": err.h1, "cpu_s": result.wall_seconds}
@@ -285,8 +282,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         energy = EnergyRecorder(every=cfg.record_every)
         try:
             stats = _solver_stats(run(problem, grid, time_grid, scheme=scheme,
-                                      recorders=(energy,), cg_tol=cfg.cg_tol,
-                                      fp_tol=cfg.fp_tol, fp_max=cfg.fp_max))
+                                      recorders=(energy,), cg_tol=cfg.cg_tol, fp_max=cfg.fp_max))
         except NumericalError as exc:
             failure = f"{scheme}: {exc}"
         write_energy_csv(out / f"energy_{scheme}.csv", energy.records)
@@ -333,7 +329,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=RunConfig.out_dir)
     p.add_argument("--record-every", type=int, default=RunConfig.record_every)
     p.add_argument("--cg-tol", type=float, default=RunConfig.cg_tol)
-    p.add_argument("--fp-tol", type=float, default=RunConfig.fp_tol)
     p.add_argument("--fp-max", type=int, default=RunConfig.fp_max)
 
 
@@ -347,7 +342,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         record_every=args.record_every,
         snap_times=_parse_snaps(args.snap) if getattr(args, "snap", None) else (),
         out_dir=args.out,
-        cg_tol=args.cg_tol, fp_tol=args.fp_tol, fp_max=args.fp_max,
+        cg_tol=args.cg_tol, fp_max=args.fp_max,
         transform=getattr(args, "transform", False),
         mirror=getattr(args, "mirror", False),
     )

@@ -49,7 +49,8 @@ import numpy as np
 
 from .grid import Boundary, Grid
 # `laplacian` is unused here; perfbench traces `sinegordon.linear_solver.laplacian`.
-from .operators import add_y_neighbour_sum, laplacian, x_neighbour_sum  # noqa: F401
+from .operators import (add_y_neighbour_sum, laplacian, x_neighbour_sum,  # noqa: F401
+                        zero_pinned_ring)
 
 
 class NumericalError(RuntimeError):
@@ -60,7 +61,8 @@ class NonConvergenceError(NumericalError):
     """Raised when an iterative solve fails to reach its tolerance."""
 
 
-# Default relative residual target of every solve, step and run.
+# The run's one tolerance: the default relative residual target of every
+# solve, step and run, and the stop of ep-fds' fixed point (schemes.ep_fds_step).
 CG_TOL = 1e-14
 
 
@@ -231,10 +233,7 @@ class SystemOperator:
         np.multiply(self._excess, w, out=out)
         out -= s
         out += w
-        if grid.boundary is not Boundary.PERIODIC:
-            out[0, :] = 0.0
-            out[:, 0] = 0.0
-        return out
+        return zero_pinned_ring(grid, out)
 
     def apply_interior(self, w: np.ndarray) -> np.ndarray:
         """``apply`` to the interior unknowns of ``w``, reading its pinned ring as zero.
@@ -242,7 +241,7 @@ class SystemOperator:
         The solver does not need it (its fields are already zero on the ring);
         it gives the interior block for fields whose ring holds edge data.
         """
-        return self.apply(np.where(self.grid.interior_mask, w, 0.0))
+        return self.apply(zero_pinned_ring(self.grid, np.array(w, dtype=float)))
 
     def diagonal(self) -> np.ndarray | float:
         """Exact matrix diagonal ``1 + e``, the Jacobi preconditioner; a float without ``d``."""

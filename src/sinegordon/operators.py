@@ -43,6 +43,18 @@ def _high_edge(grid: Grid, U: np.ndarray, bv: BoundaryValues | None, axis: int):
     return bv.right if axis == 1 else bv.top
 
 
+def zero_pinned_ring(grid: Grid, U: np.ndarray) -> np.ndarray:
+    """Zero the pinned low-edge ring (row 0 and column 0) of ``U`` in place; returns ``U``.
+
+    Only on Dirichlet-exact grids, whose ring holds known edge data rather
+    than unknowns; fields on periodic grids are returned unchanged.
+    """
+    if grid.boundary is Boundary.DIRICHLET_EXACT:
+        U[0] = 0.0
+        U[:, 0] = 0.0
+    return U
+
+
 def x_neighbour_sum(grid: Grid, U: np.ndarray, bv: BoundaryValues | None,
                     out: np.ndarray) -> np.ndarray:
     """``U[j1+1] + U[j1-1]`` at every node, stored into ``out`` and returned.
@@ -153,10 +165,7 @@ def laplacian(
     out -= U
     out -= U
     out /= grid.h2**2
-    if grid.boundary is not Boundary.PERIODIC:
-        out[0, :] = 0.0
-        out[:, 0] = 0.0
-    return out
+    return zero_pinned_ring(grid, out)
 
 
 def h1_norm(grid: Grid, U: np.ndarray) -> float:

@@ -30,7 +30,8 @@ import numpy as np
 from .grid import Boundary, Grid
 from .linear_solver import (CG_TOL, NumericalError, SolveReport, SystemOperator,
                             _workspace, pcg_solve)
-from .operators import BoundaryValues, extrapolate_half_step, laplacian, one_minus_cos, sin_cos
+from .operators import (BoundaryValues, extrapolate_half_step, laplacian, one_minus_cos, sin_cos,
+                        zero_pinned_ring)
 # The steps read only validated fields, so they take operators.coupling's
 # kernel, which skips the finiteness pass; perfbench traces it by this name.
 from .operators import _coupling as coupling
@@ -149,9 +150,8 @@ def _lift(
     laplacian(grid, known, bv, out=scratch)
     scratch *= 0.25 * t2
     rhs += scratch
-    interior = grid.interior_mask
-    rhs[~interior] = 0.0
-    return known, bv, np.where(interior, state.u, 0.0)
+    zero_pinned_ring(grid, rhs)
+    return known, bv, zero_pinned_ring(grid, state.u.copy())
 
 
 def _li_advance(state: SchemeState, tau: float, d: np.ndarray, cg_tol: float) -> SchemeState:
@@ -256,9 +256,8 @@ def _cos_quotient(
     return np.divide(numerator, half, out=out)
 
 
-# Default ep-fds fixed point: sweep until the quotient lag is within FP_TOL
-# of the right-hand side's norm, for at most FP_MAX sweeps.
-FP_TOL = 1e-14
+# Default cap on ep-fds' fixed-point sweeps per step; the sweeps stop on the
+# run's one tolerance, cg_tol.
 FP_MAX = 50
 
 
@@ -275,7 +274,6 @@ def _sweep_fields(shape: tuple[int, int]) -> tuple[np.ndarray, ...]:
 def ep_fds_step(
     state: SchemeState,
     tau: float,
-    fp_tol: float = FP_TOL,
     fp_max: int = FP_MAX,
     cg_tol: float = CG_TOL,
 ) -> SchemeState:
@@ -292,10 +290,18 @@ def ep_fds_step(
     solve is direct, one FFT solve and one true-residual check, since the
     preconditioner inverts this constant operator exactly; there the warm
     start goes unused.  The first sweep lags the quotient at its
-    limit ``Q(u, u) = sin u``.  Conserves the original discrete energy
-    exactly.  The auxiliary field of the returned state is recomputed as
-    ``sqrt(2 - cos u) = sqrt(1 + 2t^2/(1 + t^2))`` with ``t = tan(u/2)``
-    (this scheme carries no auxiliary variable of its own).
+    limit ``Q(u, u) = sin u``.
+
+    ``cg_tol`` stops both iterations: each sweep's solve meets it, and the
+    sweeps stop once the quotient lag ``(tau^2/2) l2(Q_new - Q_old)`` is
+    within ``cg_tol * max(1, l2(base))``, ``base`` being the quotient-free
+    part of the right-hand side, or raise after ``fp_max`` sweeps.  The
+    step equation then holds to about twice ``cg_tol``; it conserves the
+    original discrete energy exactly, so the computed energy drifts with
+    ``cg_tol`` and the step count.  The auxiliary field of the
+    returned state is recomputed as ``sqrt(2 - cos u) = sqrt(1 + 2t^2/(1 +
+    t^2))`` with ``t = tan(u/2)`` (this scheme carries no auxiliary variable
+    of its own).
     Reads only ``state``; the new level carries one CG report per sweep in
     ``reports``.
     """
@@ -332,12 +338,12 @@ def ep_fds_step(
     # lagged quotient, not on iterate differences: warm-started CG can
     # limit-cycle at round-off while the equation is already satisfied.  The
     # linear part of the residual is controlled by the CG contract itself, so
-    # once the quotient lag drops below tolerance the solved equation holds to
-    # the sum of the two tolerances.
+    # once the quotient lag drops below the same tolerance the solved
+    # equation holds to twice it.
     #
     # Every sweep solves in place in the new level's u field, starting from
     # the last sweep's solution; the quotients keep reading u0.
-    target = fp_tol * max(1.0, grid.l2(base))
+    target = cg_tol * max(1.0, grid.l2(base))
     sin_cos(u0, sin_old, cos_old)
     np.copyto(spare, sin_old)
     quotient, rhs = spare, r_new
@@ -391,7 +397,6 @@ def run(
     scheme: str = SCHEMES[0],
     recorders: Sequence[Callable[[int, SchemeState], None]] = (),
     cg_tol: float = CG_TOL,
-    fp_tol: float = FP_TOL,
     fp_max: int = FP_MAX,
 ) -> RunResult:
     """Integrate from t = 0 for ``time_grid.m`` steps.
@@ -404,6 +409,10 @@ def run(
     :class:`NumericalError` from a step is re-raised as the same type, its
     message prefixed with the step index and the ``t`` of the level it was
     producing.
+
+    ``cg_tol`` is the run's one tolerance: every linear solve meets it and
+    ep-fds' fixed point stops on it (see :func:`ep_fds_step`); ``fp_max``
+    caps ep-fds' sweeps per step.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
@@ -418,8 +427,7 @@ def run(
         tic = time.perf_counter()
         try:
             if scheme == "ep-fds":
-                state = ep_fds_step(state, time_grid.tau, fp_tol=fp_tol, fp_max=fp_max,
-                                    cg_tol=cg_tol)
+                state = ep_fds_step(state, time_grid.tau, fp_max=fp_max, cg_tol=cg_tol)
                 fp_sweeps += len(state.reports)
             elif state.u_prev is None:
                 state = li_leps_first_step(state, time_grid.tau, cg_tol=cg_tol)

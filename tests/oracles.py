@@ -6,6 +6,8 @@ vectorized operators or matrix-free solver, so agreement is meaningful.  The
 two probes at the end check a problem's exact solution by finite
 differences of the closed form alone.  ``peak_fields`` measures memory in
 the unit the solver's memory model counts: float fields of one grid.
+``interior_mask`` marks a grid's unknowns, for fields that must be zero on a
+Dirichlet grid's pinned ring.
 """
 
 import math
@@ -36,6 +38,19 @@ def brute_force_inner(grid, U, V):
         for j1 in range(grid.n1):
             total += U[j2, j1] * V[j2, j1]
     return grid.h1 * grid.h2 * total
+
+
+def interior_mask(grid):
+    """True where the steppers solve for unknowns, False on a Dirichlet grid's pinned ring.
+
+    The ring is the low edges ``j1 == 0`` and ``j2 == 0``; every node of a
+    periodic grid is an unknown.
+    """
+    mask = np.ones((grid.n2, grid.n1), dtype=bool)
+    if grid.boundary.value == "dirichlet-exact":
+        mask[0, :] = False
+        mask[:, 0] = False
+    return mask
 
 
 def dense_laplacian_periodic(grid):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sinegordon import Boundary, delta_x, make_grid
-from sinegordon.operators import delta_y, h1_norm
+from sinegordon.operators import delta_y, h1_norm, zero_pinned_ring
 
 from oracles import brute_force_inner, peak_fields
 
@@ -40,13 +40,19 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid(0, 1, n1=8, boundary=Boundary.DIRICHLET_EXACT)
 
-    def test_interior_mask(self):
-        gp = make_grid(0, 1, 0, 1, n1=4, n2=4)
-        assert gp.interior_mask.all()
-        gd = make_grid(0, 1, 0, 1, n1=4, n2=4, boundary=Boundary.DIRICHLET_EXACT)
-        assert not gd.interior_mask[0, :].any()
-        assert not gd.interior_mask[:, 0].any()
-        assert gd.interior_mask[1:, 1:].all()
+    def test_zero_pinned_ring(self):
+        rng = np.random.default_rng(3)
+        for g in (make_grid(0, 1, 0, 1, n1=4, n2=5), make_grid(0, 1, n1=6)):
+            U = rng.normal(size=g.shape)
+            before = U.copy()
+            assert zero_pinned_ring(g, U) is U
+            np.testing.assert_array_equal(U, before)
+        gd = make_grid(0, 1, 0, 1, n1=4, n2=5, boundary=Boundary.DIRICHLET_EXACT)
+        U = rng.normal(size=gd.shape)
+        before = U.copy()
+        assert zero_pinned_ring(gd, U) is U
+        assert np.all(U[0, :] == 0.0) and np.all(U[:, 0] == 0.0)
+        np.testing.assert_array_equal(U[1:, 1:], before[1:, 1:])
 
 
 class TestNormsAndInner:

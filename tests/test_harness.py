@@ -85,7 +85,7 @@ class TestCmdRun:
         meta = json.loads((tmp_path / "meta.json").read_text())
         assert meta["command"] == "run"
         for key in ("problem", "scheme", "n1", "n2", "tau", "T", "record_every",
-                    "snap_times", "out_dir", "cg_tol", "fp_tol", "fp_max",
+                    "snap_times", "out_dir", "cg_tol", "fp_max",
                     "transform", "mirror"):
             assert key in meta["config"]
         assert meta["config"]["tau"] == 0.02
@@ -237,7 +237,7 @@ class TestMainCli:
     @pytest.mark.parametrize("command", ["run", "compare"])
     @pytest.mark.parametrize("flag", [
         ("--cg-tol", "0"), ("--cg-tol", "inf"), ("--cg-tol", "nan"), ("--T", "inf"),
-        ("--tau", "inf"), ("--fp-tol", "-1"), ("--fp-tol", "inf"), ("--fp-max", "-1"),
+        ("--tau", "inf"), ("--tau", "0"), ("--T", "-1"), ("--fp-max", "-1"),
     ])
     def test_bad_numeric_flag_exits_2(self, tmp_path, capsys, command, flag):
         out = tmp_path / "out"

@@ -222,6 +222,25 @@ class TestEpFdsStep:
                 st = ep_fds_step(st, 0.02)
                 assert abs(global_energy_original(st) - e0) / abs(e0) <= 1e-10
 
+    def test_original_energy_drift_follows_the_one_tolerance(self):
+        # The scheme conserves the original energy only as well as each step's
+        # equation is solved, and cg_tol stops both the solves and the fixed
+        # point: tightening it alone must tighten the drift.  6,400 nodes, so
+        # the BLAS dots run on one thread whatever the thread count.
+        p = get_problem("ring")
+        g = p.grid(80)
+        time_grid = TimeGrid.from_final_time(0.005, 0.5)
+
+        def drift(**kwargs):
+            energies = []
+            run(p, g, time_grid, scheme="ep-fds",
+                recorders=(lambda k, st: energies.append(global_energy_original(st)),),
+                **kwargs)
+            return max(abs(e - energies[0]) for e in energies) / energies[0]
+
+        assert drift() <= 1e-10
+        assert drift(cg_tol=1e-15) <= 1e-12
+
     def test_table_row_h10_tau100(self):
         p = get_problem("double-pole-1d")
         g = p.grid(400)

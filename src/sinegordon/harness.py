@@ -169,13 +169,40 @@ def _solver_stats(result: RunResult) -> dict:
 
 
 class _SnapshotRecorder:
-    def __init__(self, steps: dict[int, float]):
+    """Writes the field CSV of each requested step, one recorder call late.
+
+    It holds the requested level's own ``u``, never a copy (no level's
+    fields are written after the level is built), and writes it at the next
+    call.  Until then that ``u`` is alive anyway, as the old level of the
+    step in between, so holding it keeps no extra field.  No CSV is written
+    in the call that takes a snapshot: the t = 0 CSV would otherwise be
+    written before the first step and count as set-up (perfbench's
+    ``setup_s`` ends with recorder call 0).  :meth:`flush` writes the last
+    pending snapshot, after the run or its failure.
+    """
+
+    def __init__(self, cfg: RunConfig, problem: Problem, grid: Grid, steps: dict[int, float]):
+        self.cfg = cfg
+        self.problem = problem
+        self.grid = grid
         self.steps = steps
-        self.fields: dict[int, np.ndarray] = {}
+        self.pending: tuple[float, np.ndarray] | None = None
 
     def __call__(self, step: int, state) -> None:
+        self.flush()
         if step in self.steps:
-            self.fields[step] = state.u.copy()
+            self.pending = self.steps[step], state.u
+
+    def flush(self) -> None:
+        if self.pending is None:
+            return
+        (t_req, values), self.pending = self.pending, None
+        cfg, problem = self.cfg, self.problem
+        if cfg.transform and problem.display_transform is not None:
+            values = problem.display_transform(values)
+        if cfg.mirror:
+            values = mirror_field(problem, values)
+        write_field_csv(Path(cfg.out_dir) / _field_csv_name(t_req), self.grid, values)
 
 
 def cmd_run(cfg: RunConfig) -> int:
@@ -185,7 +212,7 @@ def cmd_run(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     energy = EnergyRecorder(every=cfg.record_every)
-    snaps = _SnapshotRecorder(snap_steps)
+    snaps = _SnapshotRecorder(cfg, problem, grid, snap_steps)
 
     failure = None
     stats = {}
@@ -196,15 +223,7 @@ def cmd_run(cfg: RunConfig) -> int:
         failure = str(exc)
 
     write_energy_csv(out / "energy.csv", energy.records)
-    for step, t_req in sorted(snaps.steps.items()):
-        if step not in snaps.fields:
-            continue
-        values = snaps.fields[step]
-        if cfg.transform and problem.display_transform is not None:
-            values = problem.display_transform(values)
-        if cfg.mirror:
-            values = mirror_field(problem, values)
-        write_field_csv(out / _field_csv_name(t_req), grid, values)
+    snaps.flush()
 
     extra = {"n_steps": time_grid.m, "h1": grid.h1, "h2": grid.h2, **stats}
     return _write_meta(out, "run", asdict(cfg), extra, failure)

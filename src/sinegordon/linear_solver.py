@@ -91,6 +91,8 @@ def _workspace(shape: tuple[int, int]) -> tuple[np.ndarray, ...]:
     whenever the spectral preconditioner runs, so it shares one buffer of
     ``max(n2*n1, 2*n2*(n1//2 + 1))`` floats with the complex half-spectrum
     of shape ``(n2, n1//2 + 1)``, which that preconditioner transforms in.
+    No solve reads what an earlier one left in these fields, so the steps
+    borrow them between solves.
     """
     n2, n1 = shape
     half = (n2, n1 // 2 + 1)

@@ -42,8 +42,9 @@ from .problems import DirichletBoundary, Problem
 class SchemeState:
     """One time level: field ``u``, velocity ``v``, auxiliary ``r`` and its edge data.
 
-    ``u_prev`` is the previous level, absent only before the first step; the
-    regular step needs it for the half-step extrapolation.  ``r`` equals
+    ``u_prev`` is li-leps' previous level, absent only before its first
+    step; the regular step needs it for the half-step extrapolation.  ep-fds
+    is two-level, and its levels carry none.  ``r`` equals
     ``sqrt(2 - cos u)`` at t = 0 and is evolved, not recomputed, afterwards.
     On Dirichlet-exact grids ``bc`` is the problem's edge-data source, handed
     on from level to level, and ``bv`` the edge values at ``t``, evaluated
@@ -263,12 +264,11 @@ FP_MAX = 50
 
 @lru_cache(maxsize=1)
 def _sweep_fields(shape: tuple[int, int]) -> tuple[np.ndarray, ...]:
-    """Three work fields of the ep-fds sweeps on one grid shape, kept across steps.
+    """The ep-fds sweeps' two work fields, sin and cos of the old level.
 
-    One of the two fields that take turns as right-hand side and quotient,
-    and sin and cos of the old level.
+    Kept across steps, for the most recent grid shape only.
     """
-    return tuple(np.empty(shape) for _ in range(3))
+    return np.empty(shape), np.empty(shape)
 
 
 def ep_fds_step(
@@ -293,17 +293,18 @@ def ep_fds_step(
     limit ``Q(u, u) = sin u``.
 
     ``cg_tol`` stops both iterations: each sweep's solve meets it, and the
-    sweeps stop once the quotient lag ``(tau^2/2) l2(Q_new - Q_old)`` is
-    within ``cg_tol * max(1, l2(base))``, ``base`` being the quotient-free
-    part of the right-hand side, or raise after ``fp_max`` sweeps.  The
-    step equation then holds to about twice ``cg_tol``; it conserves the
-    original discrete energy exactly, so the computed energy drifts with
-    ``cg_tol`` and the step count.  The auxiliary field of the
-    returned state is recomputed as ``sqrt(2 - cos u) = sqrt(1 + 2t^2/(1 +
-    t^2))`` with ``t = tan(u/2)`` (this scheme carries no auxiliary variable
-    of its own).
+    sweeps stop once the lag ``l2(rhs_next - rhs)`` between two sweeps'
+    right-hand sides, which is ``(tau^2/2) l2(Q_new - Q_old)`` up to one
+    rounding of ``base``, is within ``cg_tol * max(1, l2(base))``, ``base``
+    being the quotient-free part of the right-hand side, or raise after
+    ``fp_max`` sweeps.  The step equation then holds to about twice
+    ``cg_tol``; it conserves the original discrete energy exactly, so the
+    computed energy drifts with ``cg_tol`` and the step count.  The
+    auxiliary field of the returned state is recomputed as ``sqrt(2 - cos
+    u) = sqrt(1 + 2t^2/(1 + t^2))`` with ``t = tan(u/2)`` (this scheme
+    carries no auxiliary variable of its own).
     Reads only ``state``; the new level carries one CG report per sweep in
-    ``reports``.
+    ``reports`` and, the scheme being two-level, no ``u_prev``.
     """
     grid = state.grid
     if tau <= 0:
@@ -314,13 +315,11 @@ def ep_fds_step(
     op = SystemOperator(grid, tau)
 
     # The constant part of the right-hand side lives in the new level's v
-    # field until the sweeps end.  Two fields take turns as the sweep's
-    # right-hand side and the lagged quotient: the new level's r field and
-    # one kept across steps, as sin and cos of the old level are.  Each new
-    # quotient is written over the right-hand side its solve has finished
-    # with; its scratch and the lag difference borrow two CG work fields,
-    # idle between solves.
-    spare, sin_old, cos_old = _sweep_fields(grid.shape)
+    # field until the sweeps end, and the sweep's right-hand side in its r
+    # field.  Each new quotient, and the next right-hand side formed from
+    # it, go into the CG work field p; its scratch and the lag difference
+    # borrow two more.  All three are idle between solves.
+    sin_old, cos_old = _sweep_fields(grid.shape)
     r_new = np.empty(grid.shape)
     base = v_new = laplacian(grid, u, state.bv)
     base *= 0.25 * t2
@@ -328,7 +327,7 @@ def ep_fds_step(
     r_new += u
     base += r_new
     known, bv, u0 = _lift(state, tau, base, r_new)
-    scratch, scratch2 = _workspace(grid.shape)[2:4]
+    rhs_next, scratch, scratch2 = _workspace(grid.shape)[1:4]
 
     # The sweeps run on the solve's unknowns: the quotient of two fields that
     # are zero on the pinned ring is zero there too, so every right-hand side
@@ -345,19 +344,19 @@ def ep_fds_step(
     # the last sweep's solution; the quotients keep reading u0.
     target = cg_tol * max(1.0, grid.l2(base))
     sin_cos(u0, sin_old, cos_old)
-    np.copyto(spare, sin_old)
-    quotient, rhs = spare, r_new
+    rhs = np.multiply(sin_old, 0.5 * t2, out=r_new)
+    np.subtract(base, rhs, out=rhs)
     u_new = u0.copy()
     reports = []
     for _ in range(fp_max):
-        np.multiply(quotient, 0.5 * t2, out=rhs)
-        np.subtract(base, rhs, out=rhs)
         reports.append(pcg_solve(op, rhs, tol=cg_tol, x0=u_new, out=u_new)[1])
-        new_quotient = _cos_quotient(u_new, u0, sin_old, cos_old, rhs, scratch, scratch2)
-        lag = 0.5 * t2 * grid.l2(np.subtract(new_quotient, quotient, out=scratch))
-        quotient, rhs = new_quotient, quotient
+        _cos_quotient(u_new, u0, sin_old, cos_old, rhs_next, scratch, scratch2)
+        rhs_next *= 0.5 * t2
+        np.subtract(base, rhs_next, out=rhs_next)
+        lag = grid.l2(np.subtract(rhs_next, rhs, out=scratch))
         if lag <= target:
             break
+        np.copyto(rhs, rhs_next)
     else:
         last = f" (last lag {lag:.3e}, target {target:.3e})" if reports else ""
         raise NumericalError(
@@ -372,7 +371,7 @@ def ep_fds_step(
     one_minus_cos(u_new, r_new, scratch)
     r_new += 1.0
     np.sqrt(r_new, out=r_new)
-    return SchemeState(grid, t_new, u_new, v_new, r_new, u_prev=u, bc=state.bc, bv=bv,
+    return SchemeState(grid, t_new, u_new, v_new, r_new, bc=state.bc, bv=bv,
                        reports=tuple(reports))
 
 

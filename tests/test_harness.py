@@ -132,6 +132,25 @@ class TestCmdRun:
         expected = np.sin(0.5 * plain.reshape(20, 20))[::-1, ::-1].reshape(-1, 1)
         np.testing.assert_allclose(tm, expected, rtol=1e-13)
 
+    def test_snapshot_written_at_the_next_recorder_call(self, tmp_path, monkeypatch):
+        # the t = 0 snapshot holds level 0's own u and is written after step
+        # 1, not after the run; run looks the regular step up as a global
+        real_step = sinegordon.schemes.li_leps_step
+        rows_at_step_2 = []
+
+        def step(state, *args, **kwargs):
+            if not rows_at_step_2:
+                field = tmp_path / "field_t0.csv"
+                rows_at_step_2.append(len(read_csv(field)) if field.exists() else None)
+            return real_step(state, *args, **kwargs)
+
+        monkeypatch.setattr(sinegordon.schemes, "li_leps_step", step)
+        cfg = RunConfig(problem="ring", n1=12, tau=0.05, T=0.15, snap_times=(0.0, 0.15),
+                        out_dir=str(tmp_path))
+        assert cmd_run(cfg) == 0
+        assert rows_at_step_2 == [12 * 12 + 1]
+        assert len(read_csv(tmp_path / "field_t0.15.csv")) == 12 * 12 + 1
+
     def test_ring_five_snapshots(self, tmp_path):
         # the production setup emits one field file per requested time
         cfg = RunConfig(problem="ring", n1=24, tau=0.05, T=0.2,
@@ -300,6 +319,8 @@ class TestMainCli:
         assert rc == 1
         energy = read_csv(tmp_path / "energy.csv")
         assert len(energy) == 2  # header + t=0 record
+        # the t = 0 snapshot, still pending when step 1 failed
+        assert len(read_csv(tmp_path / "field_t0.csv")) == 20 * 20 + 1
         meta = json.loads((tmp_path / "meta.json").read_text())
         assert meta["failure"] == ("step 1, t=0.05: fixed-point iteration did not "
                                    "converge within 0 sweeps")
@@ -402,12 +423,33 @@ def test_repeated_compare_is_byte_identical(tmp_path):
     assert solver[0]["ep-fds"]["fp_sweeps"] > 0
 
 
+def test_repeated_run_with_snapshots_is_byte_identical(tmp_path):
+    # 120^2 nodes, so the BLAS dots split across threads, at tau/h 1.29, so
+    # ep-fds' sweeps are direct spectral solves; the snapshots are written
+    # inside the stepping loop
+    args = ["run", "--problem", "ring", "--n", "120", "--scheme", "ep-fds",
+            "--tau", "0.3", "--T", "0.9", "--snap", "0,0.9"]
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        assert main([*args, "--out", str(out)]) == 0
+    names = sorted(p.name for p in runs[0].glob("*.csv"))
+    assert names == ["energy.csv", "field_t0.9.csv", "field_t0.csv"]
+    for name in names:
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+    keys = ("cg_iterations", "cg_iterations_max", "fp_sweeps", "preconditioner")
+    counts = [{key: json.loads((out / "meta.json").read_text())[key] for key in keys}
+              for out in runs]
+    assert counts[0] == counts[1]
+    assert counts[0]["preconditioner"] == "spectral"
+
+
 class TestMemoryModel:
     """Traced peaks of whole commands on ring 128², in float fields of the grid.
 
-    A step holds one old level (``u``, ``v``, ``r``, ``u_prev``), one new
-    level and one set of solver work fields; no command keeps a finished run
-    while the next one steps.  Each bound is about half a field above the
+    A step holds one old level (``u``, ``v``, ``r``, and li-leps' ``u_prev``),
+    one new level and one set of solver work fields; no command keeps a
+    finished run while the next one steps, and ``run`` holds a snapshot as
+    its level's own ``u``.  Each bound is about half a field above the
     measured peak.  The solver caches are cleared first, so each peak counts
     them, whatever ran before.
     """
@@ -427,17 +469,17 @@ class TestMemoryModel:
         return peak_fields(lambda: command(128), (128, 128))
 
     def test_compare_frees_each_run_before_the_next(self, tmp_path):
-        # 14.5 fields; 19.4 while li-leps' final level outlived its run
-        assert self.peak(tmp_path, "compare", "--tau", "0.015", "--T", "0.15") <= 15.0
+        # 13.4 fields; 14.5 while ep-fds levels kept u_prev and run copied
+        # its t = 0 snapshot, 19.4 while li-leps' final level outlived its run
+        assert self.peak(tmp_path, "compare", "--tau", "0.015", "--T", "0.15") <= 13.8
 
-    # Measured peaks (and before in-place sweeps, an rhs assembled through
-    # the workspace and a half-spectrum in the scratch field): li-leps 14.4
-    # (15.4) and ep-fds 15.6 (16.4) on Jacobi, li-leps 14.0 (15.9) and
-    # ep-fds 16.1 (17.9) on the spectral path.  `run` keeps its t = 0
-    # snapshot, one field.
+    # Measured peaks (and while ep-fds levels kept u_prev, its sweeps a
+    # spare quotient field and `run` a copy of its t = 0 snapshot): li-leps
+    # 13.4 (14.4) and ep-fds 12.5 (15.5) on Jacobi, li-leps 13.0 (14.0) and
+    # ep-fds 13.9 (16.0) on the spectral path.
     @pytest.mark.parametrize("scheme,tau,T,bound", [
-        ("li-leps", "0.015", "0.15", 14.9), ("ep-fds", "0.015", "0.15", 16.0),
-        ("li-leps", "0.3", "0.9", 14.5), ("ep-fds", "0.3", "0.9", 16.5),
+        ("li-leps", "0.015", "0.15", 13.9), ("ep-fds", "0.015", "0.15", 13.0),
+        ("li-leps", "0.3", "0.9", 13.5), ("ep-fds", "0.3", "0.9", 14.3),
     ], ids=["li-leps-jacobi", "ep-fds-jacobi", "li-leps-spectral", "ep-fds-spectral"])
     def test_run_peak(self, tmp_path, scheme, tau, T, bound):
         assert self.peak(tmp_path, "run", "--scheme", scheme, "--tau", tau, "--T", T) <= bound

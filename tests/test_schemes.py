@@ -207,7 +207,7 @@ class TestEpFdsStep:
         st = random_state(g, 7)
         out = ep_fds_step(st, 0.01)
         assert out.t == 0.01
-        assert out.u_prev is not None
+        assert out.u_prev is None  # two-level: the next step reads only out
 
     def test_own_energy_constant_over_random_starts(self):
         # the conserved quantity of this scheme is the original discrete energy

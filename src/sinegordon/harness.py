@@ -264,22 +264,20 @@ def cmd_converge(cfg: RunConfig, levels: int) -> int:
             failure = f"level {lvl}: {exc}"
             break
 
-    orders = {}
+    norms = ("l2", "linf", "h1")
+    orders = {norm: [""] for norm in norms}  # the coarsest level has no order
     if len(rows) > 1:
-        orders = {norm: convergence_orders([(r["h"], r["tau"], r[norm]) for r in rows])
-                  for norm in ("l2", "linf", "h1")}
+        for norm in norms:
+            ladder = [(r["h"], r["tau"], r[norm]) for r in rows]
+            orders[norm] += map(_fmt, convergence_orders(ladder))
     with open(out / "convergence.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["h", "tau", "l2", "l2_order", "linf", "linf_order",
                     "h1", "h1_order", "cpu_s"])
         for i, row in enumerate(rows):
-            w.writerow([
-                _fmt(row["h"]), _fmt(row["tau"]),
-                _fmt(row["l2"]), "" if i == 0 else _fmt(orders["l2"][i - 1]),
-                _fmt(row["linf"]), "" if i == 0 else _fmt(orders["linf"][i - 1]),
-                _fmt(row["h1"]), "" if i == 0 else _fmt(orders["h1"][i - 1]),
-                _fmt(row["cpu_s"]),
-            ])
+            w.writerow([_fmt(row["h"]), _fmt(row["tau"]),
+                        *(cell for norm in norms for cell in (_fmt(row[norm]), orders[norm][i])),
+                        _fmt(row["cpu_s"])])
     return _write_meta(out, "converge", {**asdict(cfg), "levels": levels}, {}, failure)
 
 
@@ -392,13 +390,12 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        cfg = _config_from_args(args)
         if args.command == "run":
-            return cmd_run(_config_from_args(args))
+            return cmd_run(cfg)
         if args.command == "converge":
-            return cmd_converge(_config_from_args(args), args.levels)
-        if args.command == "compare":
-            return cmd_compare(_config_from_args(args))
-        raise ConfigError(f"unknown command {args.command!r}")
+            return cmd_converge(cfg, args.levels)
+        return cmd_compare(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -49,8 +49,8 @@ import numpy as np
 
 from .grid import Boundary, Grid
 # `laplacian` is unused here; perfbench traces `sinegordon.linear_solver.laplacian`.
-from .operators import (add_y_neighbour_sum, laplacian, x_neighbour_sum,  # noqa: F401
-                        zero_pinned_ring)
+from .operators import (_out_field, add_y_neighbour_sum, laplacian,  # noqa: F401
+                        x_neighbour_sum, zero_pinned_ring)
 
 
 class NumericalError(RuntimeError):
@@ -114,7 +114,7 @@ def _workspace(shape: tuple[int, int]) -> tuple[np.ndarray, ...]:
 #
 # ep-fds gains more, since the FFT inverts its operator exactly and its
 # sweeps solve directly: 23.5 -> 17.8 ms at 200²/0.5, measured with three
-# matvecs per sweep where a direct sweep now takes one.
+# matvecs per sweep.
 # In 1D the FFT lost or tied up to tau/h 4, so 1D grids stay on Jacobi.  The
 # same value marks the large steps whose solves check their true residual.
 _LARGE_STEP_RATIO = 0.5
@@ -207,20 +207,15 @@ class SystemOperator:
         pinned low-edge ring of the result is zeroed, as in
         :func:`~sinegordon.operators.laplacian`.
 
-        The result is written into ``out`` (a float field on the grid that
-        does not overlap ``w``) and returned; without ``out`` a new field is
-        returned.  The neighbour sums are the kernels of
+        The result is written into ``out`` (a C-contiguous float field on the
+        grid that does not overlap ``w``) and returned; without ``out`` a new
+        field is returned.  The neighbour sums are the kernels of
         :mod:`~sinegordon.operators`, written into the workspace's scratch
         field, so no temporary field is allocated.
         """
         grid = self.grid
         w = grid.check_field(w, "w")
-        if out is None:
-            out = np.empty(grid.shape)
-        else:
-            grid.check_field(out, "out")
-            if np.may_share_memory(out, w):
-                raise ValueError("out must not overlap w")
+        out = _out_field(grid, w, out)
         s = x_neighbour_sum(grid, w, None, _workspace(grid.shape)[3])
         t2 = self.tau * self.tau
         bx = 0.25 * t2 / grid.h1**2
@@ -298,6 +293,12 @@ def pcg_solve(
     solve has stagnated above the target, and :class:`NonConvergenceError` is
     raised, naming the true and the recursive residual.  It is raised too after
     ``max_iter`` iterations (default ``10 * sqrt(node count)``, at least 10).
+    A right-hand side whose norm is not finite raises :class:`NumericalError`
+    before any iteration.
+
+    Every start takes its residual ``rhs - A x`` with one ``op.apply``: the
+    warm start from ``x0``, the zero start without ``x0`` (a matvec on zeros,
+    which is exactly zero), and the direct spectral start below.
 
     On the spectral path an operator whose ``d`` is None or identically zero
     is the circulant that the preconditioner ``P`` inverts exactly, so the
@@ -323,11 +324,11 @@ def pcg_solve(
     holds the preconditioned residual.  ``rhs``, ``x0`` and ``out`` must not
     be workspace fields.
 
-    The solution goes into ``out`` (a float field on the grid that does not
-    overlap ``rhs``), which the solve returns; without ``out`` it goes into a
-    new array, which the caller owns.  ``out`` may be ``x0`` itself: CG then
-    iterates in place from it, and the direct spectral path writes ``P rhs``
-    over it.  Either way the arithmetic is that of ``out=None``, so the
+    The solution goes into ``out`` (a C-contiguous float field on the grid
+    that does not overlap ``rhs``), which the solve returns; without ``out``
+    it goes into a new array, which the caller owns.  ``out`` may be ``x0``
+    itself: CG then iterates in place from it, and the direct spectral path
+    writes ``P rhs`` over it.  Either way the arithmetic is that of ``out=None``, so the
     result is the same bit for bit.
 
     Inner products are one BLAS dot each (``np.dot`` over the raveled
@@ -345,12 +346,6 @@ def pcg_solve(
     """
     grid = op.grid
     grid.check_field(rhs, "rhs")
-    if out is not None:
-        grid.check_field(out, "out")
-        if out.dtype != float:
-            raise ValueError("out must be a float field")
-        if np.may_share_memory(out, rhs):
-            raise ValueError("out must not overlap rhs")
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iter is None:
@@ -373,28 +368,30 @@ def pcg_solve(
     def norm(w):
         return float(np.sqrt(inner(w, w)))
 
-    target = tol * max(1.0, norm(rhs))
+    def true_residual():
+        op.apply(x, out=q)
+        np.subtract(rhs, q, out=r)
+        return norm(r)
+
+    rhs_norm = norm(rhs)
+    if not np.isfinite(rhs_norm):
+        raise NumericalError(f"right-hand side has non-finite l2 norm {rhs_norm}")
+    target = tol * max(1.0, rhs_norm)
     start = 0
     # A new x comes after the Jacobi diagonal on the heap, so the diagonal,
     # freed when the solve returns, is reused by the next step instead of
     # being trimmed from the heap top and faulted in again: 4 minor faults
     # per li-leps step on ring 200² with x allocated here, 136 with x first.
-    x = np.empty(grid.shape) if out is None else out
+    x = _out_field(grid, rhs, out)
     if spectral and (op.d is None or not op.d.any()):
         # P is the exact inverse of A: CG's first step from zero, alpha = 1
         precondition(rhs, x)
-        op.apply(x, out=q)
-        np.subtract(rhs, q, out=r)
         start = 1
     elif x0 is None:
         x.fill(0.0)
-        np.copyto(r, rhs)
-    else:
-        if x0 is not x:
-            np.copyto(x, grid.check_field(x0, "x0"))
-        op.apply(x, out=r)
-        np.subtract(rhs, r, out=r)
-    res = replaced = norm(r)
+    elif x0 is not x:
+        np.copyto(x, grid.check_field(x0, "x0"))
+    res = replaced = true_residual()
     if res <= target:
         return x, SolveReport(start, res, True, name)
 
@@ -416,9 +413,7 @@ def pcg_solve(
             if not check_true:
                 return x, SolveReport(k, res, True, name)
             recursive = res
-            op.apply(x, out=q)
-            np.subtract(rhs, q, out=r)
-            res = norm(r)
+            res = true_residual()
             if res <= target:
                 return x, SolveReport(k, res, True, name)
             if not res < replaced:

@@ -90,12 +90,19 @@ def add_y_neighbour_sum(grid: Grid, U: np.ndarray, bv: BoundaryValues | None,
 
 
 def _out_field(grid: Grid, U: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """``out`` checked as a C-contiguous field on ``grid`` apart from ``U``, or a new field."""
+    """``out`` checked as a C-contiguous float field on ``grid`` apart from ``U``, or a new field.
+
+    The one ``out`` check of the operators, :meth:`SystemOperator.apply
+    <sinegordon.linear_solver.SystemOperator.apply>` and
+    :func:`~sinegordon.linear_solver.pcg_solve`; ``U`` is their input.
+    """
     if out is None:
         return np.empty(grid.shape)
     grid.check_field(out, "out")
+    if out.dtype != float:
+        raise ValueError("out must be a float field")
     if np.may_share_memory(out, U):
-        raise ValueError("out must not overlap U")
+        raise ValueError("out must not overlap its input")
     if not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous")
     return out

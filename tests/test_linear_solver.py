@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sinegordon import (Boundary, NonConvergenceError, SystemOperator, coupling,
-                        get_problem, make_grid, pcg_solve)
+from sinegordon import (Boundary, NonConvergenceError, NumericalError, SystemOperator,
+                        coupling, get_problem, make_grid, pcg_solve)
 
 from sinegordon.linear_solver import SolveReport, _spectral, _spectral_solve, _workspace
 
@@ -457,6 +457,40 @@ def test_out_must_be_a_float_field_apart_from_rhs():
     op = random_operator(g, 0.1, seed=62)
     rhs = np.random.default_rng(63).normal(size=g.shape)
     for bad, match in [(np.empty((8, 7)), "shape"), (rhs, "overlap"), (rhs[::-1], "overlap"),
-                       (np.empty(g.shape, dtype=np.float32), "float")]:
+                       (np.empty(g.shape, dtype=np.float32), "float"),
+                       (np.empty((8, 16))[:, ::2], "contiguous")]:
         with pytest.raises(ValueError, match=match):
             pcg_solve(op, rhs, out=bad)
+        with pytest.raises(ValueError, match=match):
+            op.apply(rhs, out=bad)
+
+
+@pytest.mark.parametrize("with_x0", [False, True], ids=["zero-start", "x0"])
+@pytest.mark.parametrize("tau", [0.01, 0.1], ids=["jacobi", "spectral"])
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_non_finite_rhs_raises(bad, tau, with_x0):
+    g = make_grid(0, 1, 0, 1, n1=8, n2=8)
+    op = SystemOperator(g, tau, np.full(g.shape, 0.5))
+    rng = np.random.default_rng(64)
+    rhs, x0 = rng.normal(size=(2, *g.shape))
+    rhs[3, 5] = bad
+    iterates = []
+    with pytest.raises(NumericalError, match="right-hand side"):
+        pcg_solve(op, rhs, x0=x0 if with_x0 else None, callback=iterates.append)
+    assert iterates == []
+
+
+@pytest.mark.parametrize("grid,tau,with_d,preconditioner", [
+    (make_grid(0, 1, 0, 1, n1=8, n2=8), 0.01, True, "jacobi"),
+    (make_grid(0, 3, n1=40), 0.4, True, "jacobi"),
+    (make_grid(0, 1, 0, 1, n1=8, n2=8), 0.1, True, "spectral"),
+    (make_grid(0, 1, 0, 1, n1=8, n2=8), 0.1, False, "spectral"),
+], ids=["jacobi", "jacobi-large-1d", "spectral-cg", "direct"])
+def test_zero_start_equals_zero_x0(grid, tau, with_d, preconditioner):
+    op = random_operator(grid, tau, seed=65) if with_d else SystemOperator(grid, tau)
+    rhs = np.random.default_rng(66).normal(size=grid.shape)
+    x, report = pcg_solve(op, rhs)
+    x_zero, report_zero = pcg_solve(op, rhs, x0=np.zeros(grid.shape))
+    np.testing.assert_array_equal(x, x_zero)
+    assert report == report_zero
+    assert report.preconditioner == preconditioner

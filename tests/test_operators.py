@@ -85,12 +85,11 @@ def test_laplacian_writes_into_out():
 def test_laplacian_rejects_bad_out():
     g = make_grid(0, 2, 0, 3, n1=9, n2=7)
     U = np.zeros(g.shape)
-    with pytest.raises(ValueError):
-        laplacian(g, U, out=np.empty((3, 3)))
-    with pytest.raises(ValueError):
-        laplacian(g, U, out=U)
-    with pytest.raises(ValueError):
-        laplacian(g, U, out=np.empty((7, 18))[:, ::2])
+    for bad, match in [(np.empty((3, 3)), "shape"), (U, "overlap"),
+                       (np.empty((7, 18))[:, ::2], "contiguous"),
+                       (np.empty(g.shape, dtype=np.float32), "float")]:
+        with pytest.raises(ValueError, match=match):
+            laplacian(g, U, out=bad)
 
 
 def test_laplacian_spike_readout():
@@ -241,6 +240,8 @@ def test_differences_into_out():
             delta(g, U, out=U)
         with pytest.raises(ValueError, match="contiguous"):
             delta(g, U, out=np.empty((6, 16))[:, ::2])
+        with pytest.raises(ValueError, match="float"):
+            delta(g, U, out=np.empty(g.shape, dtype=np.float32))
 
 
 def test_one_minus_cos_has_no_cancellation():

@@ -15,7 +15,6 @@ and the ``failure`` key of ``meta.json`` name it.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -116,28 +115,40 @@ def _snapshot_steps(cfg: RunConfig, time_grid: TimeGrid) -> dict[int, float]:
     return steps
 
 
-def write_energy_csv(path: Path, records) -> None:
+def _line(*cells: str) -> str:
+    return ",".join(cells) + "\r\n"
+
+
+def _write_csv(path: Path, header: tuple[str, ...], lines) -> None:
+    """Write the header row, then ``lines``, each one or more ``\\r\\n``-terminated rows.
+
+    Every CSV of the package goes through here, in one dialect: commas,
+    ``\\r\\n`` line ends and no quoting, since no cell holds a comma, a quote
+    or a line break.
+    """
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "e_modified", "e_original", "deviation"])
-        for rec in records:
-            w.writerow([_fmt(rec.t), _fmt(rec.e_modified),
-                        _fmt(rec.e_original), _fmt(rec.deviation)])
+        fh.write(_line(*header))
+        fh.writelines(lines)
+
+
+def write_energy_csv(path: Path, records) -> None:
+    _write_csv(path, ("t", "e_modified", "e_original", "deviation"),
+               (_line(*map(_fmt, (rec.t, rec.e_modified, rec.e_original, rec.deviation)))
+                for rec in records))
 
 
 def write_field_csv(path: Path, grid, values: np.ndarray) -> None:
-    """One ``x,y,value`` row per node, j2 outermost, in the ``csv`` module's dialect.
+    """One ``x,y,value`` row per node, j2 outermost, floats as ``repr`` (as :func:`_fmt`).
 
-    Rows are formatted by ``repr`` (as :func:`_fmt` does) one grid row at a
-    time, which keeps the Python objects to one row of the field.
+    A grid row's values become Python floats only while that row is
+    written, which keeps the Python objects to one row of the field.
     """
     values = grid.check_field(np.asarray(values, dtype=float), "values")
     xs = [repr(x) for x in grid.x.tolist()]
-    with open(path, "w", newline="") as fh:
-        fh.write("x,y,value\r\n")
-        for y, row in zip(grid.y.tolist(), values):
-            y = repr(y)
-            fh.writelines(f"{x},{y},{v!r}\r\n" for x, v in zip(xs, row.tolist()))
+    ys = [repr(y) for y in grid.y.tolist()]
+    _write_csv(path, ("x", "y", "value"),
+               (f"{x},{y},{v!r}\r\n"
+                for y, row in zip(ys, values) for x, v in zip(xs, row.tolist())))
 
 
 def _write_meta(out: Path, command: str, config: dict, extra: dict,
@@ -270,14 +281,11 @@ def cmd_converge(cfg: RunConfig, levels: int) -> int:
         for norm in norms:
             ladder = [(r["h"], r["tau"], r[norm]) for r in rows]
             orders[norm] += map(_fmt, convergence_orders(ladder))
-    with open(out / "convergence.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["h", "tau", "l2", "l2_order", "linf", "linf_order",
-                    "h1", "h1_order", "cpu_s"])
-        for i, row in enumerate(rows):
-            w.writerow([_fmt(row["h"]), _fmt(row["tau"]),
-                        *(cell for norm in norms for cell in (_fmt(row[norm]), orders[norm][i])),
-                        _fmt(row["cpu_s"])])
+    _write_csv(out / "convergence.csv",
+               ("h", "tau", "l2", "l2_order", "linf", "linf_order", "h1", "h1_order", "cpu_s"),
+               (_line(_fmt(row["h"]), _fmt(row["tau"]),
+                      *(cell for norm in norms for cell in (_fmt(row[norm]), orders[norm][i])),
+                      _fmt(row["cpu_s"])) for i, row in enumerate(rows)))
     return _write_meta(out, "converge", {**asdict(cfg), "levels": levels}, {}, failure)
 
 
@@ -292,7 +300,6 @@ def cmd_compare(cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    cpu_rows = []
     solver_stats = {}
     failure = None
     for scheme in SCHEMES:
@@ -305,14 +312,11 @@ def cmd_compare(cfg: RunConfig) -> int:
         write_energy_csv(out / f"energy_{scheme}.csv", energy.records)
         if failure is not None:
             break
-        cpu_rows.append((scheme, grid.num_nodes, stats["wall_seconds_stepping"]))
         solver_stats[scheme] = stats
 
-    with open(out / "cpu.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["scheme", "nodes", "wall_seconds"])
-        for scheme, nodes, wall in cpu_rows:
-            w.writerow([scheme, nodes, _fmt(wall)])
+    _write_csv(out / "cpu.csv", ("scheme", "nodes", "wall_seconds"),
+               (_line(scheme, str(grid.num_nodes), _fmt(stats["wall_seconds_stepping"]))
+                for scheme, stats in solver_stats.items()))
     return _write_meta(out, "compare", asdict(cfg), {"solver": solver_stats}, failure)
 
 

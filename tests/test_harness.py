@@ -104,21 +104,26 @@ class TestCmdRun:
     def test_field_csv_matches_csv_writer(self, tmp_path):
         from sinegordon import make_grid
         from sinegordon.harness import write_field_csv
-        g = make_grid(-1.5, 2.0, 0.0, 0.7, n1=5, n2=3)
-        # a reversed view, as the mirror option emits
-        values = (np.random.default_rng(0).normal(size=g.shape) * 1e5)[::-1, ::-1]
-        values.flat[:6] = [-0.0, 0.0, 1e-300, 1e300, -5e-324, 1.0 / 3.0]
-        write_field_csv(tmp_path / "field.csv", g, values)
-        with open(tmp_path / "reference.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "y", "value"])
-            X, Y = g.meshgrid
-            for xv, yv, vv in zip(X.ravel(), Y.ravel(), values.ravel()):
-                w.writerow([repr(float(xv)), repr(float(yv)), repr(float(vv))])
-        expected = (tmp_path / "reference.csv").read_bytes()
-        assert (tmp_path / "field.csv").read_bytes() == expected
-        assert expected.count(b"\r\n") == g.num_nodes + 1
-        assert b",-0.0\r\n" in expected and b",1e-300\r\n" in expected
+        rng = np.random.default_rng(0)
+        # 2D, 1D, and hundreds of nodes in each formatted grid row
+        for n1, n2 in ((5, 3), (9, 1), (200, 3)):
+            g = make_grid(-1.5, 2.0, 0.0, 0.7, n1=n1, n2=n2)
+            # a reversed view, as the mirror option emits
+            values = (rng.normal(size=g.shape) * 1e5)[::-1, ::-1]
+            values.flat[:7] = [-0.0, 0.0, 1e-300, 1e300, -5e-324, 1.0 / 3.0, np.nan]
+            values.flat[-2:] = [np.inf, -np.inf]
+            write_field_csv(tmp_path / "field.csv", g, values)
+            with open(tmp_path / "reference.csv", "w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(["x", "y", "value"])
+                X, Y = g.meshgrid
+                for xv, yv, vv in zip(X.ravel(), Y.ravel(), values.ravel()):
+                    w.writerow([repr(float(xv)), repr(float(yv)), repr(float(vv))])
+            expected = (tmp_path / "reference.csv").read_bytes()
+            assert (tmp_path / "field.csv").read_bytes() == expected, (n1, n2)
+            assert expected.count(b"\r\n") == g.num_nodes + 1
+            for cell in (b"-0.0", b"1e-300", b"nan", b"inf", b"-inf"):
+                assert b"," + cell + b"\r\n" in expected, (n1, n2, cell)
 
     def test_transform_and_mirror(self, tmp_path):
         base = RunConfig(problem="collide4", n1=20, tau=0.02, T=0.0,
@@ -441,6 +446,29 @@ def test_repeated_run_with_snapshots_is_byte_identical(tmp_path):
               for out in runs]
     assert counts[0] == counts[1]
     assert counts[0]["preconditioner"] == "spectral"
+
+
+def test_every_csv_is_in_the_csv_module_dialect(tmp_path):
+    # csv.writer, fed the cells csv.reader reads back, writes the same bytes:
+    # no cell of any command's CSV needed quoting
+    common = ["--n", "16", "--tau", "0.05", "--T", "0.1"]
+    commands = {
+        "run": ["run", "--problem", "line-kink-2d", "--scheme", "ep-fds", *common,
+                "--snap", "0,0.1"],
+        "converge": ["converge", "--problem", "double-pole-1d", *common, "--levels", "2"],
+        "compare": ["compare", "--problem", "ring", *common],
+    }
+    names = []
+    for name, args in commands.items():
+        assert main([*args, "--out", str(tmp_path / name)]) == 0
+        names += sorted(p.relative_to(tmp_path) for p in (tmp_path / name).glob("*.csv"))
+    assert {p.name for p in names} >= {"energy.csv", "convergence.csv", "cpu.csv",
+                                       "energy_li-leps.csv", "energy_ep-fds.csv",
+                                       "field_t0.csv", "field_t0.1.csv"}
+    for name in names:
+        with open(tmp_path / "rewritten.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(read_csv(tmp_path / name))
+        assert (tmp_path / "rewritten.csv").read_bytes() == (tmp_path / name).read_bytes(), name
 
 
 class TestMemoryModel:

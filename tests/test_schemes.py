@@ -349,6 +349,24 @@ class TestCosQuotient:
         assert np.all(np.abs(q[0] - np.sin(u_old[0])) <= 2 * ulp[0])
         assert np.all(np.abs(q[1] - mid[1]) <= 2 * ulp[1])
 
+    def test_some_zero_increments_match_the_masked_formula_bit_for_bit(self):
+        # Where some but not all increments are exactly zero (as on a
+        # Dirichlet grid's pinned ring), the quotient must equal the masked
+        # formula written out.
+        rng = np.random.default_rng(43)
+        u_old = rng.uniform(-4, 4, size=(6, 5))
+        u_new = u_old + rng.uniform(-1, 1, size=u_old.shape)
+        u_new[::2, 1:3] = u_old[::2, 1:3]
+        q, sin_old = self.quotient(u_new, u_old)
+        half = (u_new - u_old) * 0.5
+        t = np.tan(half)
+        denominator = half * (t * t + 1.0)
+        numerator = (np.cos(u_old) * t + sin_old) * t
+        same = denominator == 0.0
+        assert same.any() and not same.all()
+        expected = np.where(same, sin_old, numerator / np.where(same, 1.0, denominator))
+        np.testing.assert_array_equal(q.view(np.int64), expected.view(np.int64))
+
 
 class TestFieldOwnership:
     @pytest.mark.parametrize("scheme", SCHEMES)

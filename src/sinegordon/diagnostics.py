@@ -201,5 +201,7 @@ def convergence_orders(rows) -> list[float]:
     for (h0, t0, e0), (h1, t1, e1) in zip(rows, rows[1:]):
         if abs(h0 / h1 - 2.0) > 1e-9 or abs(t0 / t1 - 2.0) > 1e-9:
             raise ValueError(f"rows do not halve (h, tau): ({h0}, {t0}) -> ({h1}, {t1})")
+        if e0 == 0 or e1 == 0:
+            raise ValueError(f"an error of 0 has no order: ({h0}, {t0}, {e0}) -> ({h1}, {t1}, {e1})")
         orders.append(math.log2(e0 / e1))
     return orders

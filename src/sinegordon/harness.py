@@ -27,7 +27,7 @@ from . import __version__
 from .diagnostics import EnergyRecorder, error_vs_exact, convergence_orders
 from .grid import Grid
 from .linear_solver import CG_TOL, NumericalError
-from .problems import PROBLEMS, Problem, get_problem, mirror_field
+from .problems import PROBLEMS, Problem, get_problem
 from .schemes import FP_MAX, SCHEMES, RunResult, TimeGrid, run
 
 
@@ -48,8 +48,7 @@ class RunConfig:
     out_dir: str = "out"
     cg_tol: float = CG_TOL
     fp_max: int = FP_MAX
-    transform: bool = False
-    mirror: bool = False
+    display: bool = False
 
     def validate(self) -> None:
         if self.scheme not in SCHEMES:
@@ -208,12 +207,9 @@ class _SnapshotRecorder:
         if self.pending is None:
             return
         (t_req, values), self.pending = self.pending, None
-        cfg, problem = self.cfg, self.problem
-        if cfg.transform and problem.display_transform is not None:
-            values = problem.display_transform(values)
-        if cfg.mirror:
-            values = mirror_field(problem, values)
-        write_field_csv(Path(cfg.out_dir) / _field_csv_name(t_req), self.grid, values)
+        if self.cfg.display:
+            values = self.problem.display(values)
+        write_field_csv(Path(self.cfg.out_dir) / _field_csv_name(t_req), self.grid, values)
 
 
 def cmd_run(cfg: RunConfig) -> int:
@@ -255,6 +251,8 @@ def cmd_converge(cfg: RunConfig, levels: int) -> int:
     """Run a halving (h, tau) ladder and emit the error/order table."""
     if levels < 2:
         raise ConfigError("need at least 2 refinement levels")
+    if cfg.T == 0:
+        raise ConfigError("a convergence study needs T > 0; at T = 0 every error is 0")
     problem, _, _ = _build(cfg)
     if problem.exact is None:
         raise ConfigError(f"problem {cfg.problem!r} has no exact solution to converge against")
@@ -342,63 +340,44 @@ def _parse_snaps(text: str) -> tuple[float, ...]:
     raise ConfigError(f"--snap expects comma-separated finite times; got {text!r}")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--problem", required=True)
-    p.add_argument("--n", required=True, help="nodes per axis: n1 or n1,n2")
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--T", type=float, required=True)
-    p.add_argument("--out", default=RunConfig.out_dir)
-    p.add_argument("--record-every", type=int, default=RunConfig.record_every)
-    p.add_argument("--cg-tol", type=float, default=RunConfig.cg_tol)
-    p.add_argument("--fp-max", type=int, default=RunConfig.fp_max)
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    n1, n2 = _parse_n(args.n)
-    return RunConfig(
-        problem=args.problem,
-        scheme=getattr(args, "scheme", RunConfig.scheme),
-        n1=n1, n2=n2,
-        tau=args.tau, T=args.T,
-        record_every=args.record_every,
-        snap_times=_parse_snaps(args.snap) if getattr(args, "snap", None) else (),
-        out_dir=args.out,
-        cg_tol=args.cg_tol, fp_max=args.fp_max,
-        transform=getattr(args, "transform", False),
-        mirror=getattr(args, "mirror", False),
-    )
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="sinegordon",
         description="Structure-preserving sine-Gordon solvers and experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
+    for command, help_text in (("run", "integrate one problem and emit traces/snapshots"),
+                               ("converge", "halving (h, tau) refinement study"),
+                               ("compare", "run both schemes; energy traces and cpu table")):
+        # flags left out keep RunConfig's defaults; each dest is a RunConfig field
+        p = sub.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS)
+        p.add_argument("--problem", required=True)
+        p.add_argument("--n", type=_parse_n, required=True, help="nodes per axis: n1 or n1,n2")
+        p.add_argument("--tau", type=float, required=True)
+        p.add_argument("--T", type=float, required=True)
+        p.add_argument("--out", dest="out_dir", metavar="OUT")
+        p.add_argument("--record-every", type=int)
+        p.add_argument("--cg-tol", type=float)
+        p.add_argument("--fp-max", type=int)
+        if command != "compare":
+            p.add_argument("--scheme", choices=SCHEMES)
+        if command == "converge":
+            p.add_argument("--levels", type=int, required=True)
+        if command == "run":
+            p.add_argument("--snap", dest="snap_times", type=_parse_snaps, metavar="SNAP",
+                           help="comma-separated snapshot times")
+            p.add_argument("--display", action="store_true",
+                           help="emit snapshots as the paper draws them: the problem's "
+                                "display transform, then its mirror")
 
-    p_run = sub.add_parser("run", help="integrate one problem and emit traces/snapshots")
-    _add_common(p_run)
-    p_run.add_argument("--scheme", choices=list(SCHEMES), default=RunConfig.scheme)
-    p_run.add_argument("--snap", help="comma-separated snapshot times")
-    p_run.add_argument("--transform", action="store_true",
-                       help="apply the problem's display transform to snapshots")
-    p_run.add_argument("--mirror", action="store_true",
-                       help="mirror emitted fields across the problem's midlines")
-
-    p_conv = sub.add_parser("converge", help="halving (h, tau) refinement study")
-    _add_common(p_conv)
-    p_conv.add_argument("--scheme", choices=list(SCHEMES), default=RunConfig.scheme)
-    p_conv.add_argument("--levels", type=int, required=True)
-
-    p_cmp = sub.add_parser("compare", help="run both schemes; energy traces and cpu table")
-    _add_common(p_cmp)
-
-    args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        if args.command == "run":
+        args = vars(parser.parse_args(argv))
+        command, levels = args.pop("command"), args.pop("levels", None)
+        args["n1"], args["n2"] = args.pop("n")
+        cfg = RunConfig(**args)
+        if command == "run":
             return cmd_run(cfg)
-        if args.command == "converge":
-            return cmd_converge(cfg, args.levels)
+        if command == "converge":
+            return cmd_converge(cfg, levels)
         return cmd_compare(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,9 +22,9 @@ class Problem:
     ``f`` and ``g`` are the initial field and velocity as functions of
     ``(x, y)``; ``exact`` (optional) the solution as ``(x, y, t)``;
     ``exact_v`` (optional) its time derivative for velocity-error reporting.
-    ``display_transform`` maps the field for emitted snapshots (the soliton
+    ``display_transform`` maps the field as the paper draws it (the soliton
     experiments plot ``sin(u/2)``); ``mirror_axes`` names the domain midlines
-    the emitted field may be reflected across.
+    the drawn field is reflected across.
     """
 
     name: str
@@ -48,7 +48,9 @@ class Problem:
                 raise ValueError(f"{self.name} is one-dimensional; n2 must be 1")
             return make_grid(self.x_lo, self.x_hi, n1=n1, n2=1, boundary=self.boundary)
         if n2 is None:
-            n2 = n1
+            n2 = n1  # make_grid rejects an n1 below 2
+        elif n2 < 2:
+            raise ValueError(f"{self.name} is two-dimensional; n2 must be at least 2")
         return make_grid(self.x_lo, self.x_hi, self.y_lo, self.y_hi,
                          n1=n1, n2=n2, boundary=self.boundary)
 
@@ -57,6 +59,16 @@ class Problem:
             raise ValueError(f"problem {self.name!r} has no exact solution")
         X, Y = grid.meshgrid
         return np.asarray(self.exact(X, Y, t), dtype=float)
+
+    def display(self, U: np.ndarray) -> np.ndarray:
+        """``U`` as the paper draws it: the display transform, then the mirror."""
+        if self.display_transform is not None:
+            U = self.display_transform(U)
+        if "x" in self.mirror_axes:
+            U = U[:, ::-1]
+        if "y" in self.mirror_axes:
+            U = U[::-1, :]
+        return U
 
 
 class DirichletBoundary:
@@ -202,14 +214,4 @@ def get_problem(name: str) -> Problem:
         return PROBLEMS[name]()
     except KeyError:
         raise KeyError(f"unknown problem {name!r}; available: {sorted(PROBLEMS)}") from None
-
-
-def mirror_field(problem: Problem, U: np.ndarray) -> np.ndarray:
-    """Reflect the emitted field across the problem's declared domain midlines."""
-    out = np.asarray(U)
-    if "x" in problem.mirror_axes:
-        out = out[:, ::-1]
-    if "y" in problem.mirror_axes:
-        out = out[::-1, :]
-    return out
 

@@ -20,6 +20,7 @@ solved by fixed-point iteration with an inner linear solve per sweep.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -104,6 +105,8 @@ class TimeGrid:
         """Requires ``tau`` to divide ``T`` to round-off."""
         if tau <= 0:
             raise ValueError("tau must be positive")
+        if not math.isfinite(T / tau):
+            raise ValueError(f"T={T} / tau={tau} is not finite")
         m = int(round(T / tau))
         if abs(m * tau - T) > 1e-9 * max(1.0, abs(T)):
             raise ValueError(f"tau={tau} does not divide T={T}")

@@ -226,3 +226,8 @@ class TestConvergenceOrders:
             convergence_orders([(0.2, 0.02, 4e-3), (0.1, 0.02, 1e-3)])
         with pytest.raises(ValueError):
             convergence_orders([(0.2, 0.02, 4e-3)])
+
+    @pytest.mark.parametrize("errors", [(4e-3, 0.0), (0.0, 1e-3), (0.0, 0.0)])
+    def test_zero_error_rejected_naming_both_rows(self, errors):
+        with pytest.raises(ValueError, match=r"\(0\.2, 0\.02, .*\) -> \(0\.1, 0\.01, "):
+            convergence_orders([(0.2, 0.02, errors[0]), (0.1, 0.01, errors[1])])

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -85,8 +86,7 @@ class TestCmdRun:
         meta = json.loads((tmp_path / "meta.json").read_text())
         assert meta["command"] == "run"
         for key in ("problem", "scheme", "n1", "n2", "tau", "T", "record_every",
-                    "snap_times", "out_dir", "cg_tol", "fp_max",
-                    "transform", "mirror"):
+                    "snap_times", "out_dir", "cg_tol", "fp_max", "display"):
             assert key in meta["config"]
         assert meta["config"]["tau"] == 0.02
         assert meta["n_steps"] == 5
@@ -108,7 +108,7 @@ class TestCmdRun:
         # 2D, 1D, and hundreds of nodes in each formatted grid row
         for n1, n2 in ((5, 3), (9, 1), (200, 3)):
             g = make_grid(-1.5, 2.0, 0.0, 0.7, n1=n1, n2=n2)
-            # a reversed view, as the mirror option emits
+            # a reversed view, as the display option emits
             values = (rng.normal(size=g.shape) * 1e5)[::-1, ::-1]
             values.flat[:7] = [-0.0, 0.0, 1e-300, 1e300, -5e-324, 1.0 / 3.0, np.nan]
             values.flat[-2:] = [np.inf, -np.inf]
@@ -129,9 +129,7 @@ class TestCmdRun:
         base = RunConfig(problem="collide4", n1=20, tau=0.02, T=0.0,
                          out_dir=str(tmp_path / "plain"))
         assert cmd_run(base) == 0
-        from dataclasses import replace
-        assert cmd_run(replace(base, transform=True, mirror=True,
-                               out_dir=str(tmp_path / "tm"))) == 0
+        assert cmd_run(dataclasses.replace(base, display=True, out_dir=str(tmp_path / "tm"))) == 0
         plain = np.array([[float(r[2])] for r in read_csv(tmp_path / "plain" / "field_t0.csv")[1:]])
         tm = np.array([[float(r[2])] for r in read_csv(tmp_path / "tm" / "field_t0.csv")[1:]])
         expected = np.sin(0.5 * plain.reshape(20, 20))[::-1, ::-1].reshape(-1, 1)
@@ -205,6 +203,14 @@ class TestCmdConverge:
         with pytest.raises(ConfigError):
             cmd_converge(cfg, levels=1)
 
+    def test_rejects_zero_horizon(self, tmp_path):
+        # at T = 0 every level's error is 0, which has no order
+        cfg = RunConfig(problem="double-pole-1d", n1=50, tau=0.02, T=0.0,
+                        out_dir=str(tmp_path / "out"))
+        with pytest.raises(ConfigError, match="T > 0"):
+            cmd_converge(cfg, levels=2)
+        assert not (tmp_path / "out").exists()
+
     def test_rejects_problem_without_exact(self, tmp_path):
         cfg = RunConfig(problem="ring", n1=20, tau=0.02, T=0.1,
                         out_dir=str(tmp_path))
@@ -245,7 +251,24 @@ class TestMainCli:
                             lambda cfg, *rest: seen.append(cfg) or 0)
         assert main([command, "--problem", "ring", "--n", "8", "--tau", "0.1",
                      "--T", "0.2", *extra]) == 0
-        assert seen == [RunConfig(problem="ring", n1=8, tau=0.1, T=0.2)]
+        # and every flag of the command, at a value other than its default,
+        # sets its own field
+        every = ["--problem", "breather", "--n", "12,10", "--tau", "0.05", "--T", "0.5",
+                 "--out", "elsewhere", "--record-every", "3", "--cg-tol", "1e-10",
+                 "--fp-max", "7"]
+        fields = dict(problem="breather", n1=12, n2=10, tau=0.05, T=0.5, out_dir="elsewhere",
+                      record_every=3, cg_tol=1e-10, fp_max=7)
+        if command != "compare":
+            every += ["--scheme", "ep-fds"]
+            fields["scheme"] = "ep-fds"
+        if command == "run":
+            every += ["--snap", "0,0.25", "--display"]
+            fields.update(snap_times=(0.0, 0.25), display=True)
+            assert set(fields) == {f.name for f in dataclasses.fields(RunConfig)}
+        defaults = RunConfig(problem="ring")
+        assert all(getattr(defaults, name) != value for name, value in fields.items())
+        assert main([command, *every, *extra]) == 0
+        assert seen == [RunConfig(problem="ring", n1=8, tau=0.1, T=0.2), RunConfig(**fields)]
 
     def test_bad_problem_exits_2(self, tmp_path, capsys):
         rc = main(["run", "--problem", "nope", "--n", "50", "--tau", "0.02",
@@ -262,6 +285,8 @@ class TestMainCli:
     @pytest.mark.parametrize("flag", [
         ("--cg-tol", "0"), ("--cg-tol", "inf"), ("--cg-tol", "nan"), ("--T", "inf"),
         ("--tau", "inf"), ("--tau", "0"), ("--T", "-1"), ("--fp-max", "-1"),
+        ("--tau", "1e-320"),  # T / tau overflows to inf steps
+        ("--n", "8,1"),       # a one-node-wide strip of a 2D problem
     ])
     def test_bad_numeric_flag_exits_2(self, tmp_path, capsys, command, flag):
         out = tmp_path / "out"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sinegordon import Boundary, get_problem
-from sinegordon.problems import PROBLEMS, Problem, mirror_field
+from sinegordon.problems import PROBLEMS, Problem
 
 from oracles import check_initial_consistency, pde_residual_probe
 
@@ -36,6 +36,16 @@ class TestDoublePole:
         assert (p.x_lo, p.x_hi) == (-20.0, 20.0)
         assert p.dim == 1
         assert p.boundary is Boundary.PERIODIC
+
+
+@pytest.mark.parametrize("name", ["ring", "line-kink-2d"])
+def test_2d_problem_rejects_a_one_node_wide_grid(name):
+    # n2 = 1 would mesh a strip along the low y edge with h2 the domain height
+    p = get_problem(name)
+    for n2 in (1, 0):
+        with pytest.raises(ValueError, match="n2 must be at least 2"):
+            p.grid(40, n2)
+    assert p.grid(40, 2).shape == (2, 40)
 
 
 class TestLineKink:
@@ -119,18 +129,21 @@ class TestCollisions:
             assert p.g(1.0, -7.0) == pytest.approx(4.13, rel=1e-14)
 
     def test_mirror_is_reflection(self):
+        # display: sin(u/2), then reflected across both midlines
         p = get_problem("collide2")
         rng = np.random.default_rng(2)
         U = rng.normal(size=(6, 8))
-        M = mirror_field(p, U)
-        np.testing.assert_array_equal(M, U[::-1, ::-1])
+        M = p.display(U)
+        np.testing.assert_array_equal(M, np.sin(0.5 * U)[::-1, ::-1])
         p4 = get_problem("collide4")
-        np.testing.assert_array_equal(mirror_field(p4, U), U[::-1, ::-1])
+        np.testing.assert_array_equal(p4.display(U), np.sin(0.5 * U)[::-1, ::-1])
 
     def test_mirror_no_axes_is_identity(self):
-        p = get_problem("ring")
+        # ring declares no mirror axes: display is its transform alone, and a
+        # problem with neither shows its field as it is
         U = np.arange(12.0).reshape(3, 4)
-        np.testing.assert_array_equal(mirror_field(p, U), U)
+        np.testing.assert_array_equal(get_problem("ring").display(U), np.sin(0.5 * U))
+        np.testing.assert_array_equal(get_problem("line-kink-2d").display(U), U)
 
 
 class TestConsistencyChecks:

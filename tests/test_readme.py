@@ -1,7 +1,9 @@
-"""The python examples of README.md run, in order, in one namespace, and the
-package root exports exactly the names the README documents."""
+"""The python examples of README.md run, in order, in one namespace, its
+command lines parse, and the package root exports exactly the names the
+README documents."""
 
 import re
+import shlex
 from pathlib import Path
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -13,6 +15,19 @@ def test_readme_python_blocks_run():
     namespace: dict = {}
     for i, block in enumerate(blocks):
         exec(compile(block, f"README.md python block {i + 1}", "exec"), namespace)
+
+
+def test_readme_commands_parse(monkeypatch):
+    import sinegordon.harness
+
+    for command in ("run", "converge", "compare"):
+        monkeypatch.setattr(sinegordon.harness, f"cmd_{command}", lambda cfg, *rest: 0)
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.M | re.S)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("sinegordon ")]
+    assert sorted(argv[0] for argv in commands) == ["compare", "converge", "run"]
+    for argv in commands:
+        assert sinegordon.harness.main(argv) == 0, argv
 
 
 ROOT_EXPORTS = [

@@ -45,6 +45,11 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid.from_final_time(0.3, 1.0)
 
+    def test_rejects_a_step_count_beyond_float_range(self):
+        # 0.1 / 1e-320 overflows to inf, whose round() cannot be an int
+        with pytest.raises(ValueError, match="not finite"):
+            TimeGrid.from_final_time(1e-320, 0.1)
+
     def test_rejects_bad_tau(self):
         with pytest.raises(ValueError):
             TimeGrid(0.0, 10)

@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .grid import Boundary, make_grid
-from .operators import coupling, coupling_prime, coupling_second, delta_x, laplacian
+from .operators import coupling, delta_x, laplacian
 from .linear_solver import NonConvergenceError, NumericalError, SystemOperator, pcg_solve
 from .problems import get_problem
 from .schemes import (SchemeState, TimeGrid, ep_fds_step, init_state, li_leps_first_step,
@@ -13,7 +13,7 @@ from .diagnostics import (convergence_orders, error_vs_exact, global_energy_modi
 
 __all__ = [
     "Boundary", "make_grid",
-    "coupling", "coupling_prime", "coupling_second", "delta_x", "laplacian",
+    "coupling", "delta_x", "laplacian",
     "NonConvergenceError", "NumericalError", "SystemOperator", "pcg_solve",
     "get_problem",
     "SchemeState", "TimeGrid", "ep_fds_step", "init_state", "li_leps_first_step",

@@ -113,7 +113,7 @@ def _energies(state: SchemeState) -> tuple[float, float]:
 
 def global_energy_modified(state: SchemeState) -> float:
     """Total modified energy; conserved exactly by li-leps on periodic grids."""
-    return _energies(state)[0]
+    return state.grid.cell_area * float(np.sum(local_energy_density(state)))
 
 
 def global_energy_original(state: SchemeState) -> float:

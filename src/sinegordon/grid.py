@@ -105,10 +105,13 @@ class Grid:
             raise ValueError(f"{name} has shape {U.shape}, expected {self.shape}")
         return U
 
-    # Inner products are one BLAS dot over the raveled fields: one pass, no
-    # product field.  Its rounding depends on the BLAS build and thread count,
-    # so results repeat bit for bit on one machine, numpy/BLAS build and BLAS
-    # thread count.  Energy sums in diagnostics keep np.sum.
+    # Inner products, CG's included, are one BLAS dot over the raveled fields:
+    # one pass, no product field.  Its rounding depends on the BLAS build and
+    # thread count (OpenBLAS splits dots of more than 10,000 nodes across its
+    # threads), so results repeat bit for bit on one machine, numpy/BLAS build
+    # and BLAS thread count.  np.einsum would not depend on the thread count,
+    # but keeps only about two thirds of the saving over a product field and
+    # np.sum.  Energy sums in diagnostics keep np.sum.
     def inner(self, U: np.ndarray, V: np.ndarray) -> float:
         """Discrete inner product ``h1*h2 * sum(U*V)``."""
         U = self.check_field(U)

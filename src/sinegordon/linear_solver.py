@@ -8,20 +8,31 @@ The preconditioner is chosen per operator from its grid and ``tau`` alone, so
 both schemes always get the same class of solver on one configuration:
 
 - Periodic 2D grids with ``tau^2 (1/h1^2 + 1/h2^2) >= 0.5`` (``tau/h >= 0.5``
-  on square meshes) use the *spectral* preconditioner: the exact inverse of
-  the circulant ``I - (tau^2/4) Lap``, applied by a real 2D FFT (T. F. Chan's
-  optimal circulant for ``d = 0``).  Since ``|d| <= 1`` the preconditioned
-  spectrum lies in ``[1, 1 + tau^2/8]``, so a solve takes a few iterations at
-  any ``tau/h``.  Where ``d`` is None or zero (the ep-fds operator) the
-  preconditioner is the exact inverse, and the solve is direct: one FFT solve
-  and one true-residual check, reported as one iteration.
+  on square meshes) use the *spectral* preconditioner ``P``: the exact
+  inverse of the circulant ``I - (tau^2/4) Lap``, applied by a real 2D FFT
+  (T. F. Chan's optimal circulant for ``d = 0``).  Since ``|d| <= 1`` the
+  preconditioned spectrum lies in ``[1, 1 + tau^2/8]``, so a solve takes a
+  few iterations at any ``tau/h``.
 - Every other grid (1D, Dirichlet-exact, or small ``tau/h``) uses the exact
   *Jacobi* diagonal, which wins there: an FFT pair costs more than the few
-  cheap iterations it saves.
+  cheap iterations it saves.  It is computed once per operator, on the
+  Jacobi path alone.
+
+Where ``d`` is None or identically zero (the ep-fds operator), ``A`` is the
+circulant that ``P`` inverts exactly, so a spectral solve is direct: ``x = P
+rhs``, checked by one true residual.  That is CG's first step from zero (with
+an exact ``P`` its step length is 1), so it is reported as one iteration, and
+it ignores ``x0``.  Should its true residual miss the target, CG goes on from
+``x``.  The path is chosen by the matrix, not by how the operator was built:
+``d=None`` and ``d=zeros`` solve bit-identically.
 
 On large steps, ``tau^2 (1/h1^2 + 1/h2^2) >= 0.5`` (``tau^2/h1^2`` in 1D: the
 rule that selects the spectral path), a solve on either path accepts its
 result only after checking the true residual ``rhs - A x``, and reports it.
+Once the recursive residual meets the target, one ``op.apply`` recomputes the
+true one.  If that misses the target, it replaces the recursive residual and
+the search restarts from it (``p = z``); a replaced residual that no longer
+decreases means the solve has stagnated above the target.
 ``numpy.fft`` is imported on first use of the spectral path only, so Jacobi
 runs never load it.
 
@@ -103,18 +114,20 @@ def _workspace(shape: tuple[int, int]) -> tuple[np.ndarray, ...]:
 
 
 # Spectral above this value of tau^2 (1/h1^2 + 1/h2^2), Jacobi below.  Whole
-# li-leps steps on ring, ms per step (Jacobi vs spectral), single runs on a
-# shared 2-core host:
+# li-leps steps on ring with the path forced, median ms of a run's first 30
+# steps (CG iterations per step in brackets), single runs on a shared 2-core
+# host at one BLAS thread:
 #
-#   grid  tau/h  Jacobi  spectral      grid  tau/h  Jacobi  spectral
-#   200²  0.14    5.7     8.5          320²  0.46   27.7    25.6
-#   200²  0.25    7.6     8.9          320²  0.71   35.4    23.4
-#   200²  0.36    8.3     8.1          320²  1.03   45.8    30.1
-#   200²  0.5     9.6     8.9
+#   grid  tau/h  Jacobi       spectral
+#   200²  0.071   2.74 (4.0)   3.62 (2.0)
+#   200²  0.25    3.64 (7.0)   4.82 (3.0)
+#   200²  0.5     4.67 (11.0)  5.05 (3.5)
+#   320²  0.071   7.10 (4.0)   8.72 (2.0)
+#   320²  0.25    9.70 (7.0)  10.83 (3.0)
+#   320²  0.5    12.10 (10.7)  8.83 (3.0)
 #
-# ep-fds gains more, since the FFT inverts its operator exactly and its
-# sweeps solve directly: 23.5 -> 17.8 ms at 200²/0.5, measured with three
-# matvecs per sweep.
+# ep-fds' direct sweeps cost less from tau/h 0.25 at 200², but below this
+# value they drift more than its Jacobi sweeps, so one value serves both.
 # In 1D the FFT lost or tied up to tau/h 4, so 1D grids stay on Jacobi.  The
 # same value marks the large steps whose solves check their true residual.
 _LARGE_STEP_RATIO = 0.5
@@ -190,8 +203,8 @@ class SystemOperator:
     def __post_init__(self):
         if self.d is not None:
             self.grid.check_field(self.d, "d")
-        if self.tau < 0:
-            raise ValueError("tau must be nonnegative")
+        if not 0 <= self.tau < np.inf:
+            raise ValueError(f"tau must be finite and nonnegative, got {self.tau}")
 
     def apply(self, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``A w`` in neighbour-sum form ``w + (e*w - bx*Sx(w) - by*Sy(w))``.
@@ -272,72 +285,32 @@ def pcg_solve(
     op: SystemOperator,
     rhs: np.ndarray,
     tol: float = CG_TOL,
-    max_iter: int | None = None,
     x0: np.ndarray | None = None,
-    callback=None,
     out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, SolveReport]:
     """Solve ``op @ x = rhs`` by preconditioned CG on the grid inner product.
 
-    The preconditioner is spectral on periodic 2D grids with ``tau^2 (1/h1^2 +
-    1/h2^2) >= 0.5`` and Jacobi elsewhere (see the module docstring); the
-    report names it.  Only the chosen preconditioner is built: the Jacobi
-    diagonal is computed (once per operator) on the Jacobi path alone.  The
-    solve stops when ``l2(rhs - A x) <= tol * max(1, l2(rhs))``.  On small
-    steps that is judged on the recursively updated residual.  On large steps
-    (see the module docstring), on either path, once the recursive residual
-    meets the target, the true residual is recomputed with one ``op.apply``:
-    the solve returns only if it meets the target too, and reports it.
-    Otherwise it replaces the recursive residual and the search restarts from
-    it (``p = z``); a replaced residual that no longer decreases means the
-    solve has stagnated above the target, and :class:`NonConvergenceError` is
-    raised, naming the true and the recursive residual.  It is raised too after
-    ``max_iter`` iterations (default ``10 * sqrt(node count)``, at least 10).
-    A right-hand side whose norm is not finite raises :class:`NumericalError`
-    before any iteration.
+    The preconditioner, the direct start of d-free spectral solves and the
+    true-residual check of large steps follow the module docstring; the
+    report names the preconditioner.  The solve starts from ``x0`` (zero
+    without it) and stops when ``l2(rhs - A x) <= tol * max(1, l2(rhs))``,
+    judged on the recursively updated residual, and on large steps on the
+    true one as well.
 
-    Every start takes its residual ``rhs - A x`` with one ``op.apply``: the
-    warm start from ``x0``, the zero start without ``x0`` (a matvec on zeros,
-    which is exactly zero), and the direct spectral start below.
-
-    On the spectral path an operator whose ``d`` is None or identically zero
-    is the circulant that the preconditioner ``P`` inverts exactly, so the
-    solve is direct: ``x = P rhs``, whose true residual one ``op.apply``
-    checks.  That is CG's first step from zero, since with an exact ``P`` its
-    step length is ``alpha = 1``, so it is reported as one iteration with that
-    true residual.  ``x0`` and ``callback`` are not used there.  Should the
-    true residual miss the target, CG goes on from ``x`` as above (the
-    callback sees those iterations, numbered from 2).  The path is chosen by
-    the matrix, not by how the operator was built: ``d=None`` and ``d=zeros``
-    solve bit-identically.
-
-    ``callback`` receives the live iterate after each update, for
-    convergence-history tests; the solve keeps updating that array in place,
-    so copy it to keep it.  ``callback`` must not start another solve on a
-    grid of the same shape: that solve would overwrite the work fields of
-    this one.
-
-    The work fields (residual ``r``, search direction ``p``, its image ``q``
-    under ``op``, and a scratch field for the axpy products that also holds
-    the spectral half-spectrum) are the per-shape workspace, kept across
-    solves and updated in place; once ``r`` is updated ``q`` is dead and
-    holds the preconditioned residual.  ``rhs``, ``x0`` and ``out`` must not
-    be workspace fields.
+    :class:`NonConvergenceError` is raised, naming the true and the recursive
+    residual, when a large step's true residual stagnates above the target;
+    it is raised too when the residual turns non-finite, and after ``10 *
+    sqrt(node count)`` iterations (at least 10).  A right-hand side whose norm
+    is not finite raises :class:`NumericalError` before any iteration, and a
+    ``tol`` that is not finite and positive raises ``ValueError``.
 
     The solution goes into ``out`` (a C-contiguous float field on the grid
     that does not overlap ``rhs``), which the solve returns; without ``out``
     it goes into a new array, which the caller owns.  ``out`` may be ``x0``
-    itself: CG then iterates in place from it, and the direct spectral path
-    writes ``P rhs`` over it.  Either way the arithmetic is that of ``out=None``, so the
-    result is the same bit for bit.
-
-    Inner products are one BLAS dot each (``np.dot`` over the raveled
-    fields), one pass that writes nothing.  The dot's last bits depend on
-    the BLAS build and its thread count (OpenBLAS splits dots of more than
-    10,000 nodes across its threads), so repeated solves are bit-identical
-    on one machine, numpy/BLAS build and BLAS thread count.  ``np.einsum``
-    would not depend on the thread count, but keeps only about two thirds of
-    the saving over a product field and ``np.sum``.
+    itself: CG then iterates in place from it.  Either way the arithmetic is
+    that of ``out=None``, so the result is the same bit for bit.  ``rhs``,
+    ``x0`` and ``out`` must not be fields of the workspace, which holds CG's
+    ``r``, ``p`` and ``q``.
 
     On Dirichlet-exact grids ``rhs`` and ``x0`` must be zero on the pinned
     low-edge ring; the caller moves the known boundary contributions into
@@ -346,10 +319,9 @@ def pcg_solve(
     """
     grid = op.grid
     grid.check_field(rhs, "rhs")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iter is None:
-        max_iter = max(10, int(10 * np.sqrt(grid.num_nodes)))
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    cap = max(10, int(10 * np.sqrt(grid.num_nodes)))
     spectral = _is_spectral(grid, op.tau)
     if spectral:
         name = "spectral"
@@ -362,18 +334,12 @@ def pcg_solve(
     check_true = _is_large_step(grid, op.tau)
     r, p, q, prod, _ = _workspace(grid.shape)
 
-    def inner(a, b):
-        return grid.cell_area * np.dot(a.reshape(-1), b.reshape(-1))
-
-    def norm(w):
-        return float(np.sqrt(inner(w, w)))
-
     def true_residual():
         op.apply(x, out=q)
         np.subtract(rhs, q, out=r)
-        return norm(r)
+        return grid.l2(r)
 
-    rhs_norm = norm(rhs)
+    rhs_norm = grid.l2(rhs)
     if not np.isfinite(rhs_norm):
         raise NumericalError(f"right-hand side has non-finite l2 norm {rhs_norm}")
     target = tol * max(1.0, rhs_norm)
@@ -397,15 +363,13 @@ def pcg_solve(
 
     precondition(r, q)
     np.copyto(p, q)
-    rz = inner(r, q)
-    for k in range(start + 1, max_iter + 1):
+    rz = grid.inner(r, q)
+    for k in range(start + 1, cap + 1):
         op.apply(p, out=q)
-        alpha = rz / inner(p, q)
+        alpha = rz / grid.inner(p, q)
         x += np.multiply(p, alpha, out=prod)
         r -= np.multiply(q, alpha, out=prod)
-        res = norm(r)
-        if callback is not None:
-            callback(x)
+        res = grid.l2(r)
         if not np.isfinite(res):
             raise NonConvergenceError(f"non-finite residual at iteration {k}")
         restart = False
@@ -424,7 +388,7 @@ def pcg_solve(
             replaced = res
             restart = True
         precondition(r, q)
-        rz_new = inner(r, q)
+        rz_new = grid.inner(r, q)
         if restart:
             np.copyto(p, q)
         else:
@@ -432,5 +396,5 @@ def pcg_solve(
             p += q
         rz = rz_new
     raise NonConvergenceError(
-        f"CG did not reach {target:.3e} within {max_iter} iterations (residual {res:.3e})"
+        f"CG did not reach {target:.3e} within {cap} iterations (residual {res:.3e})"
     )

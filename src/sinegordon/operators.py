@@ -276,17 +276,3 @@ def sin_cos(x: np.ndarray, sin_out: np.ndarray, cos_out: np.ndarray) -> None:
     np.divide(2.0, q, out=q)
     t *= q
     q -= 1.0
-
-
-def coupling_prime(x) -> np.ndarray:
-    """First derivative of :func:`coupling`; globally bounded by 3/2."""
-    x = _require_finite(x)
-    p = 2.0 - np.cos(x)
-    return np.cos(x) / np.sqrt(p) - np.sin(x) ** 2 / (2.0 * p**1.5)
-
-
-def coupling_second(x) -> np.ndarray:
-    """Second derivative of :func:`coupling`; globally bounded by 5/2."""
-    x = _require_finite(x)
-    p = 2.0 - np.cos(x)
-    return -coupling(x) - 3.0 * np.sin(2.0 * x) / (4.0 * p**1.5) + 3.0 * np.sin(x) ** 3 / (4.0 * p**2.5)

@@ -83,6 +83,12 @@ class SchemeState:
                              "a periodic state neither")
 
 
+def _check_tau(tau: float) -> None:
+    """Reject a step size that is not finite and positive."""
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be finite and positive, got {tau}")
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform time mesh: ``m`` steps of size ``tau`` reaching ``T = m * tau``."""
@@ -91,8 +97,7 @@ class TimeGrid:
     m: int
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        _check_tau(self.tau)
         if self.m < 0:
             raise ValueError("step count must be nonnegative")
 
@@ -103,8 +108,7 @@ class TimeGrid:
     @staticmethod
     def from_final_time(tau: float, T: float) -> "TimeGrid":
         """Requires ``tau`` to divide ``T`` to round-off."""
-        if tau <= 0:
-            raise ValueError("tau must be positive")
+        _check_tau(tau)
         if not math.isfinite(T / tau):
             raise ValueError(f"T={T} / tau={tau} is not finite")
         m = int(round(T / tau))
@@ -188,8 +192,7 @@ def _li_advance(state: SchemeState, tau: float, d: np.ndarray, cg_tol: float) ->
     ``u_new - u``.
     """
     grid = state.grid
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    _check_tau(tau)
     u, v, r = state.u, state.v, state.r
     t_new = state.t + tau
     t2 = tau * tau
@@ -325,8 +328,7 @@ def ep_fds_step(
     ``reports`` and, the scheme being two-level, no ``u_prev``.
     """
     grid = state.grid
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    _check_tau(tau)
     u, v = state.u, state.v
     t_new = state.t + tau
     t2 = tau * tau

@@ -7,7 +7,9 @@ two probes at the end check a problem's exact solution by finite
 differences of the closed form alone.  ``peak_fields`` measures memory in
 the unit the solver's memory model counts: float fields of one grid.
 ``interior_mask`` marks a grid's unknowns, for fields that must be zero on a
-Dirichlet grid's pinned ring.
+Dirichlet grid's pinned ring.  ``coupling_prime`` and ``coupling_second`` are
+the coupling's derivatives in closed form, which the bound and
+finite-difference checks of the coupling read.
 """
 
 import math
@@ -114,6 +116,28 @@ def coupled_step_dense(grid, u, v, r, d, tau):
 def centered_derivative(fn, x, h=1e-4):
     """Second-order centered first derivative."""
     return (fn(x + h) - fn(x - h)) / (2.0 * h)
+
+
+def _finite(x):
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("non-finite input")
+    return x
+
+
+def coupling_prime(x):
+    """First derivative of the coupling ``sin x / sqrt(2 - cos x)``; bounded by 3/2."""
+    x = _finite(x)
+    p = 2.0 - np.cos(x)
+    return np.cos(x) / np.sqrt(p) - np.sin(x) ** 2 / (2.0 * p**1.5)
+
+
+def coupling_second(x):
+    """Second derivative of the coupling; bounded by 5/2."""
+    x = _finite(x)
+    p = 2.0 - np.cos(x)
+    return (-np.sin(x) / np.sqrt(p) - 3.0 * np.sin(2.0 * x) / (4.0 * p**1.5)
+            + 3.0 * np.sin(x) ** 3 / (4.0 * p**2.5))
 
 
 def centered_second(fn, x, h=1e-4):

@@ -6,15 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from sinegordon import (SchemeState, TimeGrid, convergence_orders, coupling,
-                        coupling_prime, coupling_second, ep_fds_step,
+from sinegordon import (SchemeState, TimeGrid, convergence_orders, coupling, ep_fds_step,
                         error_vs_exact, get_problem, global_energy_modified,
                         global_energy_original, init_state, li_leps_first_step,
                         li_leps_step, local_law_residual, make_grid,
                         original_law_residual, run)
 from sinegordon.linear_solver import SystemOperator
 
-from oracles import centered_derivative, coupled_step_dense
+from oracles import centered_derivative, coupled_step_dense, coupling_prime, coupling_second
 
 TABLE2_LI = {  # (1/h, 1/tau) -> (l2, linf)
     (10, 100): (1.2515e-03, 1.3017e-03),

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from sinegordon import (Boundary, coupling, coupling_prime, coupling_second, delta_x,
-                        laplacian, make_grid)
+from sinegordon import Boundary, coupling, delta_x, laplacian, make_grid
 from sinegordon.operators import (BoundaryValues, delta_y, extrapolate_half_step,
                                   one_minus_cos, sin_cos, time_average)
 
-from oracles import centered_derivative, dense_laplacian_periodic, peak_fields
+from oracles import (centered_derivative, coupling_prime, coupling_second,
+                     dense_laplacian_periodic, peak_fields)
 
 
 def test_delta_x_constant_field():

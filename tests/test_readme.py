@@ -32,8 +32,8 @@ def test_readme_commands_parse(monkeypatch):
 
 ROOT_EXPORTS = [
     "Boundary", "NonConvergenceError", "NumericalError", "SchemeState", "SystemOperator",
-    "TimeGrid", "__version__", "convergence_orders", "coupling", "coupling_prime",
-    "coupling_second", "delta_x", "ep_fds_step", "error_vs_exact", "get_problem",
+    "TimeGrid", "__version__", "convergence_orders", "coupling", "delta_x",
+    "ep_fds_step", "error_vs_exact", "get_problem",
     "global_energy_modified", "global_energy_original", "init_state", "laplacian",
     "li_leps_first_step", "li_leps_step", "local_law_residual", "make_grid",
     "original_law_residual", "pcg_solve", "run",

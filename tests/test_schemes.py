@@ -51,8 +51,11 @@ class TestTimeGrid:
             TimeGrid.from_final_time(1e-320, 0.1)
 
     def test_rejects_bad_tau(self):
-        with pytest.raises(ValueError):
-            TimeGrid(0.0, 10)
+        for tau in (0.0, -0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="tau"):
+                TimeGrid(tau, 10)
+            with pytest.raises(ValueError, match="tau"):
+                TimeGrid.from_final_time(tau, 1.0)
 
 
 class TestInitState:
@@ -192,10 +195,13 @@ class TestLiLepsStep:
     def test_rejects_nonpositive_tau(self):
         g = make_grid(0, 1, 0, 1, n1=8, n2=8)
         st = random_state(g, 30, with_prev=True)
-        with pytest.raises(ValueError):
-            li_leps_step(st, 0.0)
-        with pytest.raises(ValueError):
-            ep_fds_step(random_state(g, 31), -0.1)
+        for tau in (0.0, -0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="tau"):
+                li_leps_step(st, tau)
+            with pytest.raises(ValueError, match="tau"):
+                li_leps_first_step(random_state(g, 31), tau)
+            with pytest.raises(ValueError, match="tau"):
+                ep_fds_step(random_state(g, 31), tau)
 
 
 class TestEpFdsStep:

@@ -260,19 +260,20 @@ def one_minus_cos(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.nda
     return t_sq
 
 
-def sin_cos(x: np.ndarray, sin_out: np.ndarray, cos_out: np.ndarray) -> None:
-    """``sin x`` into ``sin_out`` and ``cos x`` into ``cos_out``, from one tangent.
+def sin_cos(x: np.ndarray, sin_out: np.ndarray, cos_out: np.ndarray, scale: float = 1.0) -> None:
+    """``scale * sin x`` into ``sin_out`` and ``scale * cos x`` into ``cos_out``, from one tangent.
 
     With ``t = tan(x/2)``, the exact identities ``sin x = 2t/(1 + t^2)`` and
     ``cos x = 2/(1 + t^2) - 1`` take one tangent instead of a sine and a
-    cosine.  Both are accurate to a few ulps of 1 in absolute terms (``cos``
+    cosine; ``scale`` enters as ``2 scale`` and ``- scale``, in no extra pass.
+    Both are accurate to a few ulps of ``scale`` in absolute terms (``cos``
     loses relative accuracy near its zeros, where it cancels), and ``x = 0``
-    gives exactly 0 and 1.  ``x`` may be either output field.
+    gives exactly 0 and ``scale``.  ``x`` may be either output field.
     """
     t = np.multiply(x, 0.5, out=sin_out)
     np.tan(t, out=t)
     q = np.multiply(t, t, out=cos_out)
     q += 1.0
-    np.divide(2.0, q, out=q)
+    np.divide(2.0 * scale, q, out=q)
     t *= q
-    q -= 1.0
+    q -= scale

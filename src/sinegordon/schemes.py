@@ -14,13 +14,16 @@ per-node discrete energy balance exact.
 
 ``ep-fds`` is the fully implicit two-level energy-preserving comparison
 scheme built on the discrete variational derivative of ``1 - cos``; it
-conserves the original (non-quadratized) discrete energy exactly and is
-solved by fixed-point iteration with an inner linear solve per sweep.
+conserves the original (non-quadratized) discrete energy exactly.  Each step
+solves for its increment ``u_new - u`` by fixed-point iteration with an inner
+linear solve per sweep, from an O(tau^4) start, with stops relative to the
+increment and early sweeps solved only as tightly as the next sweep can use.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -165,12 +168,13 @@ def _lift(
 def _explicit_part(state: SchemeState, tau: float) -> np.ndarray:
     """``u + tau v + (tau^2/4) Lap u`` of ``state`` in a new field.
 
-    Both schemes' right-hand sides start from it; the one Laplacian of the
-    step reads ``state.bv``.  ``u + tau v`` is formed in the CG workspace's
-    scratch field, idle until the step's solve starts.  The workspace is
-    taken after the new field is allocated: a run's first step may allocate
-    the workspace, and the other order left ring-paper's ``perfbench`` peak
-    RSS higher (35.11 against 35.06 MB, a shared 2-core host).
+    li-leps' right-hand side starts from it, and ep-fds' on Dirichlet-exact
+    grids; its Laplacian reads ``state.bv``.  ``u + tau v`` is formed in the
+    CG workspace's scratch field, idle until the step's solve starts.  The
+    workspace is taken after the new field is allocated: a run's first step
+    may allocate the workspace, and the other order left ring-paper's
+    ``perfbench`` peak RSS higher (35.11 against 35.06 MB, a shared 2-core
+    host).
     """
     grid = state.grid
     out = laplacian(grid, state.u, state.bv)
@@ -246,35 +250,38 @@ def li_leps_first_step(state: SchemeState, tau: float, cg_tol: float = CG_TOL) -
 
 
 def _cos_quotient(
-    u_new: np.ndarray, u_old: np.ndarray, sin_old: np.ndarray, cos_old: np.ndarray,
+    delta: np.ndarray, sin_old: np.ndarray, cos_old: np.ndarray,
     out: np.ndarray, scratch: np.ndarray, scratch2: np.ndarray,
 ) -> np.ndarray:
-    """Difference quotient ``Q = (cos(u_old) - cos(u_new)) / (u_new - u_old)``, into ``out``.
+    """Difference quotient ``Q = (cos(u) - cos(u + delta)) / delta`` of an increment, into ``out``.
 
-    With ``h = u_new - u_old`` and the half-angle tangent ``t = tan(h/2)``,
+    With ``h = delta`` and the half-angle tangent ``t = tan(h/2)``,
     ``1 - cos h = 2t^2/(1 + t^2)`` and ``sin h = 2t/(1 + t^2)`` turn the
     quotient exactly into
 
-        Q = 2t / (h (1 + t^2)) * (cos(u_old) t + sin(u_old)),
+        Q = 2t / (h (1 + t^2)) * (cos(u) t + sin(u)),
 
     which takes one tangent per call, given ``sin_old`` and ``cos_old`` (sin
-    and cos of ``u_old``), and has no cancellation at any ``h``: ``2t/h``
-    tends to 1 as ``h`` does.  Where ``h == 0`` it is ``sin_old`` exactly,
-    the quotient's limit.  ``out``, ``scratch`` and ``scratch2`` are distinct
+    and cos of ``u``), and has no cancellation at any ``h``: ``2t/h`` tends
+    to 1 as ``h`` does.  The quotient is linear in the pair, so ``sin_old``
+    and ``cos_old`` may come scaled by one factor, which scales ``Q``.
+    Where ``t^2`` underflows to zero (``|h|`` below about 3e-162, ``h == 0``
+    included) it is ``sin_old`` exactly, the quotient's limit, which it
+    meets there to within ``|h|/2``; the formula would lose the bits of a
+    subnormal ``t``.  ``out``, ``scratch`` and ``scratch2`` are distinct
     fields that overlap no input.
     """
-    half = np.subtract(u_new, u_old, out=scratch)
-    half *= 0.5
+    half = np.multiply(delta, 0.5, out=scratch)
     t = np.tan(half, out=out)
-    np.multiply(t, t, out=scratch2)
-    scratch2 += 1.0
-    half *= scratch2
+    t_sq = np.multiply(t, t, out=scratch2)
+    limit = t_sq == 0.0
+    t_sq += 1.0
+    half *= t_sq
     numerator = np.multiply(cos_old, t, out=scratch2)
     numerator += sin_old
     numerator *= t
-    same = half == 0.0
-    np.copyto(half, 1.0, where=same)
-    np.copyto(numerator, sin_old, where=same)
+    np.copyto(half, 1.0, where=limit)
+    np.copyto(numerator, sin_old, where=limit)
     return np.divide(numerator, half, out=out)
 
 
@@ -282,10 +289,15 @@ def _cos_quotient(
 # run's one tolerance, cg_tol.
 FP_MAX = 50
 
+# The floor of ep-fds' stop, the smallest normal float: a rest state, whose
+# increment and sine are zero, still gets a positive target.  (np.finfo
+# would cost 0.13 MB of peak RSS on its first call.)
+_TINY = sys.float_info.min
+
 
 @lru_cache(maxsize=1)
 def _sweep_fields(shape: tuple[int, int]) -> tuple[np.ndarray, ...]:
-    """The ep-fds sweeps' two work fields, sin and cos of the old level.
+    """The ep-fds sweeps' two work fields, sin and cos of the old level times ``tau^2/2``.
 
     Kept across steps, for the most recent grid shape only.
     """
@@ -298,34 +310,60 @@ def ep_fds_step(
     fp_max: int = FP_MAX,
     cg_tol: float = CG_TOL,
 ) -> SchemeState:
-    """Fully implicit two-level energy-preserving step.
+    """Fully implicit two-level energy-preserving step, solved for its increment.
 
-    Solves, by fixed-point iteration on the nonlinear quotient,
+    The step ``u_new = u + tau v + (tau^2/2) [Lap (u + u_new)/2 - Q]``, with
+    ``Q`` the difference quotient of ``1 - cos`` (see :func:`_cos_quotient`),
+    is solved for ``delta = u_new - u`` by fixed-point iteration on ``Q``:
+    every sweep solves
 
-        [I - (tau^2/4) Lap] u_new = u + tau v + (tau^2/4) Lap u - (tau^2/2) Q(u_new, u)
+        A delta = b0 - (tau^2/2) Q(delta),    A = I - (tau^2/4) Lap,
 
-    with ``Q`` the difference quotient of ``1 - cos`` (see :func:`_cos_quotient`);
-    each sweep is one :func:`pcg_solve`, warm-started from the last sweep's
-    solution and solved in place in the new level's ``u`` field, a copy of
-    the old level's.  On the spectral path (periodic 2D large steps) that
-    solve is direct, one FFT solve and one true-residual check, since the
-    preconditioner inverts this constant operator exactly; there the warm
-    start goes unused.  The first sweep lags the quotient at its
-    limit ``Q(u, u) = sin u``.
+    by one :func:`pcg_solve`, in place in the new level's ``u`` field and
+    warm-started from the last sweep's ``delta``.  ``b0`` is the increment's
+    explicit part, ``tau v + (tau^2/2) Lap u`` on periodic grids.  On
+    Dirichlet-exact grids the unknowns are the interior nodes: ``delta`` is
+    taken from the old level with its pinned ring zeroed, and ``b0`` is the
+    lifted right-hand side less ``A`` of that field.  On the spectral path
+    (periodic 2D large steps) each solve is direct, one FFT solve and one
+    true-residual check, since the preconditioner inverts ``A`` exactly.
 
-    ``cg_tol`` stops both iterations: each sweep's solve meets it, and the
-    sweeps stop once the lag ``l2(rhs_next - rhs)`` between two sweeps'
-    right-hand sides, which is ``(tau^2/2) l2(Q_new - Q_old)`` up to one
-    rounding of ``base``, is within ``cg_tol * max(1, l2(base))``, ``base``
-    being the quotient-free part of the right-hand side, or raise after
-    ``fp_max`` sweeps.  The step equation then holds to about twice
-    ``cg_tol``; it conserves the original discrete energy exactly, so the
-    computed energy drifts with ``cg_tol`` and the step count.  The
-    auxiliary field of the returned state is recomputed as ``sqrt(2 - cos
-    u) = sqrt(1 + 2t^2/(1 + t^2))`` with ``t = tan(u/2)`` (this scheme
-    carries no auxiliary variable of its own).
-    Reads only ``state``; the new level carries one CG report per sweep in
-    ``reports`` and, the scheme being two-level, no ``u_prev``.
+    The iteration starts from the step's own expansion,
+
+        delta* = b0 - (tau^2/2) sin u + (tau^3/4) (Lap v - v cos u),
+
+    which the step equation meets up to O(tau^4) (a Taylor start of the PDE,
+    with 1/6 for 1/4, is O(tau^3) off); ``Lap v`` reads zeros past a
+    Dirichlet high edge, and ``delta*`` is zero on the pinned ring.  The
+    first sweep's quotient is ``Q(delta*)``.
+
+    The stops scale with the increment, not with the field: the target is
+    ``cg_tol * max(l2(b0), (tau^2/2) l2(sin u))``, at least the smallest
+    normal float, so a rest state steps bit-stably.  The lag of a sweep is
+    the change ``l2(rhs_next - rhs)`` of its right-hand side, which is
+    ``(tau^2/2) l2(Q_new - Q_old)`` up to one rounding of ``b0``; the lag
+    before the first sweep compares ``Q(delta*)`` with ``sin u``.  The sweep
+    map contracts by ``tau^2/4`` at most (``|dQ/d delta| <= 1/2`` and
+    ``||A^-1|| <= 1``), so sweep ``k`` solves only to ``max(target, (tau^2/4)
+    lag_(k-1))``, as close as the next sweep can use (Dembo, Eisenstat and
+    Steihaug, inexact Newton methods, 1982).  From ``tau = 2`` on that bound
+    is no contraction, and every sweep solves to ``target``.  A step returns
+    from a sweep solved to ``target`` whose lag is within ``target``: the lag
+    is taken, or bounded without a quotient by ``(tau^2/4) (lag_(k-1) +
+    res_k + res_(k-1))``, the solves' residuals bounding the change of
+    ``delta``.  So the returned level satisfies
+
+        l2(A delta - b0 + (tau^2/2) Q(delta)) <= 2 target,
+
+    or it raises after ``fp_max`` sweeps.  The scheme conserves the original
+    discrete energy exactly, so the computed energy moves only by that
+    residual and by rounding.  ``v_new = 2 delta / tau - v``, and ``u_new``
+    is ``u + delta`` (plus the new edge data on Dirichlet-exact grids),
+    formed last in the same field.  The auxiliary field of the returned
+    state is recomputed as ``sqrt(2 - cos u) = sqrt(1 + 2t^2/(1 + t^2))``
+    with ``t = tan(u/2)`` (this scheme carries no auxiliary variable of its
+    own).  Reads only ``state``; the new level carries one CG report per
+    sweep in ``reports`` and, the scheme being two-level, no ``u_prev``.
     """
     grid = state.grid
     _check_tau(tau)
@@ -334,56 +372,80 @@ def ep_fds_step(
     t2 = tau * tau
     op = SystemOperator(grid, tau)
 
-    # The constant part of the right-hand side lives in the new level's v
-    # field until the sweeps end, and the sweep's right-hand side in its r
-    # field.  Each new quotient, and the next right-hand side formed from
-    # it, go into the CG work field p; its scratch and the lag difference
-    # borrow two more.  All three are idle between solves.
-    sin_old, cos_old = _sweep_fields(grid.shape)
-    r_new = np.empty(grid.shape)
-    base = v_new = _explicit_part(state, tau)
-    known, bv, u0 = _lift(state, tau, base, r_new)
-    rhs_next, scratch, scratch2 = _workspace(grid.shape)[1:4]
+    # No field beyond the two levels and the work fields: b0 lives in the
+    # new level's v until the sweeps end, the sweep's right-hand side in its
+    # r, and delta in its u.  Each new quotient, and the next right-hand
+    # side formed from it, go into the CG work field p; its scratch and the
+    # lag difference borrow two more.  All three are idle between solves.
+    sin_s, cos_s = _sweep_fields(grid.shape)
+    r_new = rhs = np.empty(grid.shape)
+    if state.bc is None:
+        known, bv, x0 = None, None, u
+        b0 = v_new = laplacian(grid, u, out=np.empty(grid.shape))
+        b0 *= 0.5 * tau
+        b0 += v
+        b0 *= tau
+    else:
+        b0 = v_new = _explicit_part(state, tau)
+        known, bv, x0 = _lift(state, tau, b0, r_new)
+        b0 -= op.apply(x0, out=r_new)
+    work, scratch, scratch2 = _workspace(grid.shape)[1:4]
 
-    # The sweeps run on the solve's unknowns: the quotient of two fields that
-    # are zero on the pinned ring is zero there too, so every right-hand side
-    # keeps the zero ring the solve requires.
-    #
-    # Convergence is judged on the nonlinear-residual contribution of the
-    # lagged quotient, not on iterate differences: warm-started CG can
-    # limit-cycle at round-off while the equation is already satisfied.  The
-    # linear part of the residual is controlled by the CG contract itself, so
-    # once the quotient lag drops below the same tolerance the solved
-    # equation holds to twice it.
-    #
-    # Every sweep solves in place in the new level's u field, starting from
-    # the last sweep's solution; the quotients keep reading u0.
-    target = cg_tol * max(1.0, grid.l2(base))
-    sin_cos(u0, sin_old, cos_old)
-    rhs = np.multiply(sin_old, 0.5 * t2, out=r_new)
-    np.subtract(base, rhs, out=rhs)
-    u_new = u0.copy()
+    # The start.  Every sweep keeps delta zero on the pinned ring: there both
+    # Q(0) and the scaled sine of the zeroed start are zero, so every
+    # right-hand side keeps the zero ring the solve requires.
+    sin_cos(x0, sin_s, cos_s, scale=0.5 * t2)
+    delta = u_new = laplacian(grid, v, out=np.empty(grid.shape))
+    delta *= 0.5 * t2
+    delta -= np.multiply(cos_s, v, out=work)
+    delta *= 0.5 * tau
+    delta += b0
+    delta -= sin_s
+    zero_pinned_ring(grid, delta)
+
+    b0_norm, sin_norm = grid.l2(b0), grid.l2(sin_s)
+    target = max(cg_tol * max(b0_norm, sin_norm), _TINY)
+    q = _cos_quotient(delta, sin_s, cos_s, work, scratch, scratch2)
+    lag = grid.l2(np.subtract(q, sin_s, out=scratch))
+    np.subtract(b0, q, out=rhs)
+    # pcg_solve stops at tol * max(1, l2(rhs)), so tol = goal / max(1, bound)
+    # keeps each solve within its goal.  The bound on l2(rhs) starts from
+    # the triangle inequality on b0 - sin - (Q - sin) and grows by each lag,
+    # the norm of the change of rhs, in place of a norm of each rhs.
+    rhs_bound = b0_norm + sin_norm + lag
+    # The sweep map's contraction bound; only a contraction lets a sweep stop
+    # short of the target.
+    contraction = 0.25 * t2
     reports = []
+    res_prev = math.inf  # the last solve's residual; delta* came from no solve
     for _ in range(fp_max):
-        reports.append(pcg_solve(op, rhs, tol=cg_tol, x0=u_new, out=u_new)[1])
-        _cos_quotient(u_new, u0, sin_old, cos_old, rhs_next, scratch, scratch2)
-        rhs_next *= 0.5 * t2
-        np.subtract(base, rhs_next, out=rhs_next)
+        goal = max(target, contraction * lag) if contraction < 1.0 else target
+        report = pcg_solve(op, rhs, tol=goal / max(1.0, rhs_bound), x0=delta, out=delta)[1]
+        reports.append(report)
+        res = report.final_residual
+        # The next lag is at most contraction * l2(delta - delta_prev), and
+        # ||A^-1|| <= 1 bounds that change by lag + res + res_prev: when the
+        # bound meets the target, the lag need not be taken.
+        if goal == target and contraction * (lag + res + res_prev) <= target:
+            break
+        res_prev = res
+        rhs_next = _cos_quotient(delta, sin_s, cos_s, work, scratch, scratch2)
+        np.subtract(b0, rhs_next, out=rhs_next)
         lag = grid.l2(np.subtract(rhs_next, rhs, out=scratch))
-        if lag <= target:
+        if goal == target and lag <= target:
             break
         np.copyto(rhs, rhs_next)
+        rhs_bound += lag
     else:
         last = f" (last lag {lag:.3e}, target {target:.3e})" if reports else ""
         raise NumericalError(
             f"fixed-point iteration did not converge within {fp_max} sweeps{last}")
 
+    np.multiply(delta, 2.0 / tau, out=v_new)
+    v_new -= v
+    u_new += x0
     if known is not None:
         u_new += known
-    np.subtract(u_new, u, out=v_new)
-    v_new *= 2.0
-    v_new /= tau
-    v_new -= v
     one_minus_cos(u_new, r_new, scratch)
     r_new += 1.0
     np.sqrt(r_new, out=r_new)

@@ -9,10 +9,12 @@ the unit the solver's memory model counts: float fields of one grid.
 ``interior_mask`` marks a grid's unknowns, for fields that must be zero on a
 Dirichlet grid's pinned ring.  ``coupling_prime`` and ``coupling_second`` are
 the coupling's derivatives in closed form, which the bound and
-finite-difference checks of the coupling read.
+finite-difference checks of the coupling read.  ``ep_fds_step_residual`` is
+the residual of ep-fds' step equation, built from a loop Laplacian.
 """
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -111,6 +113,75 @@ def coupled_step_dense(grid, u, v, r, d, tau):
     sol = np.linalg.solve(A, rhs)
     shape = grid.shape
     return sol[:n].reshape(shape), sol[n:2 * n].reshape(shape), sol[2 * n:].reshape(shape)
+
+
+def naive_laplacian(grid, U, edge=None):
+    """5-point Laplacian by index arithmetic, python loops.
+
+    Periodic grids wrap.  On Dirichlet grids only the unknowns (``j1, j2 >=
+    1``) are filled, the pinned ring stays zero, and reads one node past the
+    high edges take ``edge = (right, top)``, zeros when None.  In 1D mode
+    both y-neighbours wrap onto the node itself, so the y-term vanishes.
+    """
+    n1, n2 = grid.n1, grid.n2
+    periodic = grid.boundary.value == "periodic"
+    right, top = (np.zeros(n2), np.zeros(n1)) if edge is None else edge
+    mask = interior_mask(grid)
+
+    def at(j1, j2):
+        if periodic:
+            return U[j2 % n2, j1 % n1]
+        if j1 == n1:
+            return right[j2]
+        if j2 == n2:
+            return top[j1]
+        return U[j2, j1]
+
+    out = np.zeros((n2, n1))
+    for j2 in range(n2):
+        for j1 in range(n1):
+            if mask[j2, j1]:
+                out[j2, j1] = ((at(j1 + 1, j2) - 2.0 * U[j2, j1] + at(j1 - 1, j2)) / grid.h1**2
+                               + (at(j1, j2 + 1) - 2.0 * U[j2, j1] + at(j1, j2 - 1)) / grid.h2**2)
+    return out
+
+
+def ep_fds_step_residual(state, new, tau, cg_tol):
+    """``(l2(A delta - b0 + (tau^2/2) Q(delta)), target)`` of an ep-fds step ``state -> new``.
+
+    The step equation in increment form, on the unknowns: ``A = I -
+    (tau^2/4) Lap`` with zero edge data, ``b0 = tau v + (tau^2/2) Lap u``
+    plus, on Dirichlet grids, ``(tau^2/4) Lap`` of the edge data's change,
+    and ``Q(delta) = (cos u - cos(u + delta))/delta``, taken as ``sin(u +
+    delta/2) sinc(delta/2)``.  ``delta`` is read from the velocities,
+    ``(tau/2)(v + v_new)``, which the step sets exactly from it; ``u_new -
+    u`` would carry the rounding of ``u``.  ``target = cg_tol * max(l2(b0),
+    (tau^2/2) l2(sin u))``, both on the unknowns, at least the smallest
+    normal float.
+    """
+    grid = state.grid
+    mask = interior_mask(grid)
+    c = 0.5 * tau * tau
+
+    def l2(U):
+        return math.sqrt(brute_force_inner(grid, U, U))
+
+    delta = np.where(mask, 0.5 * tau * (state.v + new.v), 0.0)
+    b0 = tau * state.v
+    if state.bv is None:
+        b0 = b0 + c * naive_laplacian(grid, state.u)
+    else:
+        edge_change = (new.bv.right - state.bv.right, new.bv.top - state.bv.top)
+        ring_change = np.where(mask, 0.0, new.u - state.u)
+        b0 = (b0 + c * naive_laplacian(grid, state.u, (state.bv.right, state.bv.top))
+              + 0.5 * c * naive_laplacian(grid, ring_change, edge_change))
+    b0 = np.where(mask, b0, 0.0)
+    a_delta = delta - 0.5 * c * naive_laplacian(grid, delta)
+    quotient = np.sin(state.u + 0.5 * delta) * np.sinc(delta / (2.0 * np.pi))
+    residual = np.where(mask, a_delta - b0 + c * quotient, 0.0)
+    sin_scale = c * l2(np.where(mask, np.sin(state.u), 0.0))
+    target = max(cg_tol * max(l2(b0), sin_scale), sys.float_info.min)
+    return l2(residual), target
 
 
 def centered_derivative(fn, x, h=1e-4):

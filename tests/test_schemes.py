@@ -15,7 +15,7 @@ from sinegordon.operators import BoundaryValues, extrapolate_half_step
 from sinegordon.problems import DirichletBoundary, Problem
 from sinegordon.schemes import SCHEMES
 
-from oracles import coupled_step_dense
+from oracles import coupled_step_dense, ep_fds_step_residual, interior_mask
 
 
 def rest_state(grid):
@@ -252,6 +252,55 @@ class TestEpFdsStep:
         assert drift() <= 1e-10
         assert drift(cg_tol=1e-15) <= 1e-12
 
+    def test_original_energy_deviation_stays_at_round_off_at_small_steps(self):
+        # 5.09e-11 while the stops were relative to the whole field, which
+        # left an error of cg_tol * l2(u) in every step
+        p = get_problem("ring")
+        energies = []
+        run(p, p.grid(160), TimeGrid.from_final_time(0.005, 1.0), scheme="ep-fds",
+            recorders=(lambda k, st: energies.append(global_energy_original(st)),))
+        assert max(abs(e - energies[0]) for e in energies) / energies[0] <= 1e-14
+
+    @pytest.mark.parametrize("tau", [0.05, 0.5])
+    @pytest.mark.parametrize("noise", [0.0, 1e-12])
+    def test_near_uniform_states_step(self, tau, noise):
+        # The increment's explicit part b0 = tau v + (tau^2/2) Lap u is about
+        # zero here, the increment -(tau^2/2) sin u is not: a stop scaled by
+        # l2(b0) alone raised or ran out of sweeps.
+        g = make_grid(0, 1, 0, 1, n1=8, n2=8)
+        u = 1.0 + noise * np.random.default_rng(12).normal(size=g.shape)
+        state = SchemeState(g, 0.0, u, np.zeros(g.shape), np.sqrt(2.0 - np.cos(u)))
+        for _ in range(3):
+            new = ep_fds_step(state, tau)
+            residual, target = ep_fds_step_residual(state, new, tau, 1e-14)
+            assert residual <= 2 * target
+            state = new
+
+    @pytest.mark.parametrize("problem,n,tau,preconditioner", [
+        (None, (16, 16), 0.01, "jacobi"), (None, (16, 16), 0.1, "spectral"),
+        ("line-kink-2d", (9, 7), 0.05, "jacobi"), ("line-kink-2d", (9, 7), 0.5, "jacobi"),
+    ], ids=["periodic-jacobi", "periodic-spectral", "dirichlet-small", "dirichlet-large"])
+    def test_returned_level_meets_the_step_equation(self, problem, n, tau, preconditioner):
+        # The docstring's contract, checked from outside the step:
+        # l2(A delta - b0 + (tau^2/2) Q(delta)) <= 2 target.
+        rng = np.random.default_rng(14)
+        for trial in range(3):
+            if problem is None:
+                g = make_grid(0, 1, 0, 1, n1=n[0], n2=n[1])
+                state = random_state(g, 50 + trial)
+            else:
+                p = get_problem(problem)
+                g = p.grid(*n)
+                start = init_state(p, g)
+                noise = np.where(interior_mask(g), rng.normal(size=(2, *g.shape)), 0.0)
+                state = SchemeState(g, 0.0, start.u + noise[0], start.v + noise[1], start.r,
+                                    bc=start.bc, bv=start.bv)
+            for cg_tol in (1e-14, 1e-10):
+                new = ep_fds_step(state, tau, cg_tol=cg_tol)
+                assert {r.preconditioner for r in new.reports} == {preconditioner}
+                residual, target = ep_fds_step_residual(state, new, tau, cg_tol)
+                assert residual <= 2 * target, (trial, cg_tol, residual / target)
+
     def test_table_row_h10_tau100(self):
         p = get_problem("double-pole-1d")
         g = p.grid(400)
@@ -328,11 +377,11 @@ class TestLargeStepSolves:
 
 class TestCosQuotient:
     @staticmethod
-    def quotient(u_new, u_old):
-        """The kernel's quotient and the ``sin(u_old)`` it was given."""
+    def quotient(delta, u_old):
+        """The kernel's quotient of the increment ``delta`` from ``u_old``, and ``sin(u_old)``."""
         sin_old = np.sin(u_old)
         out, scratch, scratch2 = np.full((3, *u_old.shape), np.nan)
-        q = schemes._cos_quotient(u_new, u_old, sin_old, np.cos(u_old), out, scratch, scratch2)
+        q = schemes._cos_quotient(delta, sin_old, np.cos(u_old), out, scratch, scratch2)
         assert q is out
         return q, sin_old
 
@@ -346,19 +395,28 @@ class TestCosQuotient:
         h[4] = -2 * np.pi + rng.uniform(-0.1, 0.1, 5)
         h[5] = np.pi * rng.choice([-1, 1], 5) + rng.uniform(-1e-6, 1e-6, 5)
         u_new = u_old + h
-        q, _ = self.quotient(u_new, u_old)
+        q, _ = self.quotient(u_new - u_old, u_old)
         np.testing.assert_allclose(q, (np.cos(u_old) - np.cos(u_new)) / (u_new - u_old),
                                    rtol=1e-10)
 
         # Where the levels meet (h == 0) and next to it (h == 1e-10).
         u_old = rng.uniform(-4, 4, size=(2, 5))
         u_new = u_old + np.array([[0.0], [1e-10]])
-        q, sin_old = self.quotient(u_new, u_old)
+        q, sin_old = self.quotient(u_new - u_old, u_old)
         np.testing.assert_array_equal(q[0], sin_old[0])
         mid = np.sin(0.5 * (u_new + u_old))
         ulp = np.spacing(np.abs(mid))
         assert np.all(np.abs(q[0] - np.sin(u_old[0])) <= 2 * ulp[0])
         assert np.all(np.abs(q[1] - mid[1]) <= 2 * ulp[1])
+
+        # Subnormal increments, and tiny normal ones: a subnormal tangent
+        # carries too few bits for the formula (the smallest ones gave Q = 0
+        # or 1), so the kernel must return the limit there.
+        u_old = rng.uniform(-4, 4, size=(2, 6))
+        delta = np.array([[5e-324, -1e-323, 1e-320, -3e-315, 1e-310, -2e-308],
+                          [1e-300, -1e-200, 1e-162, -3e-162, 1e-161, -1e-150]])
+        q, _ = self.quotient(delta, u_old)
+        np.testing.assert_allclose(q, np.sin(u_old + 0.5 * delta), rtol=1e-10)
 
     def test_some_zero_increments_match_the_masked_formula_bit_for_bit(self):
         # Where some but not all increments are exactly zero (as on a
@@ -368,7 +426,7 @@ class TestCosQuotient:
         u_old = rng.uniform(-4, 4, size=(6, 5))
         u_new = u_old + rng.uniform(-1, 1, size=u_old.shape)
         u_new[::2, 1:3] = u_old[::2, 1:3]
-        q, sin_old = self.quotient(u_new, u_old)
+        q, sin_old = self.quotient(u_new - u_old, u_old)
         half = (u_new - u_old) * 0.5
         t = np.tan(half)
         denominator = half * (t * t + 1.0)

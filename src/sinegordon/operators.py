@@ -260,7 +260,7 @@ def one_minus_cos(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.nda
     return t_sq
 
 
-def sin_cos(x: np.ndarray, sin_out: np.ndarray, cos_out: np.ndarray, scale: float = 1.0) -> None:
+def sin_cos(x: np.ndarray, sin_out: np.ndarray, cos_out: np.ndarray, scale: float) -> None:
     """``scale * sin x`` into ``sin_out`` and ``scale * cos x`` into ``cos_out``, from one tangent.
 
     With ``t = tan(x/2)``, the exact identities ``sin x = 2t/(1 + t^2)`` and

@@ -312,58 +312,25 @@ def ep_fds_step(
 ) -> SchemeState:
     """Fully implicit two-level energy-preserving step, solved for its increment.
 
-    The step ``u_new = u + tau v + (tau^2/2) [Lap (u + u_new)/2 - Q]``, with
-    ``Q`` the difference quotient of ``1 - cos`` (see :func:`_cos_quotient`),
-    is solved for ``delta = u_new - u`` by fixed-point iteration on ``Q``:
-    every sweep solves
+    Solves ``u_new = u + tau v + (tau^2/2) [Lap (u + u_new)/2 - Q]``, ``Q``
+    the difference quotient of ``1 - cos`` (:func:`_cos_quotient`), for
+    ``delta = u_new - u`` (interior nodes only on Dirichlet-exact grids) by
+    fixed-point sweeps, each one :func:`pcg_solve` of
 
         A delta = b0 - (tau^2/2) Q(delta),    A = I - (tau^2/4) Lap,
 
-    by one :func:`pcg_solve`, in place in the new level's ``u`` field and
-    warm-started from the last sweep's ``delta``.  ``b0`` is the increment's
-    explicit part, ``tau v + (tau^2/2) Lap u`` on periodic grids.  On
-    Dirichlet-exact grids the unknowns are the interior nodes: ``delta`` is
-    taken from the old level with its pinned ring zeroed, and ``b0`` is the
-    lifted right-hand side less ``A`` of that field.  On the spectral path
-    (periodic 2D large steps) each solve is direct, one FFT solve and one
-    true-residual check, since the preconditioner inverts ``A`` exactly.
-
-    The iteration starts from the step's own expansion,
-
-        delta* = b0 - (tau^2/2) sin u + (tau^3/4) (Lap v - v cos u),
-
-    which the step equation meets up to O(tau^4) (a Taylor start of the PDE,
-    with 1/6 for 1/4, is O(tau^3) off); ``Lap v`` reads zeros past a
-    Dirichlet high edge, and ``delta*`` is zero on the pinned ring.  The
-    first sweep's quotient is ``Q(delta*)``.
-
-    The stops scale with the increment, not with the field: the target is
-    ``cg_tol * max(l2(b0), (tau^2/2) l2(sin u))``, at least the smallest
-    normal float, so a rest state steps bit-stably.  The lag of a sweep is
-    the change ``l2(rhs_next - rhs)`` of its right-hand side, which is
-    ``(tau^2/2) l2(Q_new - Q_old)`` up to one rounding of ``b0``; the lag
-    before the first sweep compares ``Q(delta*)`` with ``sin u``.  The sweep
-    map contracts by ``tau^2/4`` at most (``|dQ/d delta| <= 1/2`` and
-    ``||A^-1|| <= 1``), so sweep ``k`` solves only to ``max(target, (tau^2/4)
-    lag_(k-1))``, as close as the next sweep can use (Dembo, Eisenstat and
-    Steihaug, inexact Newton methods, 1982).  From ``tau = 2`` on that bound
-    is no contraction, and every sweep solves to ``target``.  A step returns
-    from a sweep solved to ``target`` whose lag is within ``target``: the lag
-    is taken, or bounded without a quotient by ``(tau^2/4) (lag_(k-1) +
-    res_k + res_(k-1))``, the solves' residuals bounding the change of
-    ``delta``.  So the returned level satisfies
+    ``b0`` being the increment's explicit part.  The start, the inexact
+    early sweeps and the stop are described in the README.  With ``target =
+    cg_tol * max(l2(b0), (tau^2/2) l2(sin u))``, at least the smallest normal
+    float, the returned level satisfies
 
         l2(A delta - b0 + (tau^2/2) Q(delta)) <= 2 target,
 
-    or it raises after ``fp_max`` sweeps.  The scheme conserves the original
-    discrete energy exactly, so the computed energy moves only by that
-    residual and by rounding.  ``v_new = 2 delta / tau - v``, and ``u_new``
-    is ``u + delta`` (plus the new edge data on Dirichlet-exact grids),
-    formed last in the same field.  The auxiliary field of the returned
-    state is recomputed as ``sqrt(2 - cos u) = sqrt(1 + 2t^2/(1 + t^2))``
-    with ``t = tan(u/2)`` (this scheme carries no auxiliary variable of its
-    own).  Reads only ``state``; the new level carries one CG report per
-    sweep in ``reports`` and, the scheme being two-level, no ``u_prev``.
+    or the step raises :class:`NumericalError` after ``fp_max`` sweeps.
+    Returns ``u_new``, ``v_new = 2 (u_new - u) / tau - v`` and ``r =
+    sqrt(2 - cos u_new)`` (recomputed: the scheme carries no auxiliary
+    variable); reads only ``state``.  The new level carries one CG report
+    per sweep and, two-level, no ``u_prev``.
     """
     grid = state.grid
     _check_tau(tau)
@@ -446,6 +413,10 @@ def ep_fds_step(
     u_new += x0
     if known is not None:
         u_new += known
+        # delta is zero on the pinned ring, where u_new takes the edge data:
+        # there v_new is 2 (u_new - u) / tau - v, as in li-leps.
+        for ring in (np.s_[0], np.s_[:, 0]):
+            v_new[ring] = (known[ring] - u[ring]) * 2.0 / tau - v[ring]
     one_minus_cos(u_new, r_new, scratch)
     r_new += 1.0
     np.sqrt(r_new, out=r_new)

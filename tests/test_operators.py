@@ -259,11 +259,11 @@ def test_sin_cos_matches_math_to_a_few_ulps():
     x = np.concatenate([np.linspace(-4 * np.pi, 4 * np.pi, 200_001), marks,
                         np.nextafter(marks, np.inf), np.nextafter(marks, -np.inf)])
     s, c = np.empty_like(x), np.empty_like(x)
-    sin_cos(x, s, c)
+    sin_cos(x, s, c, 1.0)
     assert np.max(np.abs(s - [math.sin(a) for a in x])) <= 4 * eps
     assert np.max(np.abs(c - [math.cos(a) for a in x])) <= 4 * eps
     zero = np.zeros(3)
-    sin_cos(zero, zero, c[:3])
+    sin_cos(zero, zero, c[:3], 1.0)
     assert np.all(zero == 0.0) and np.all(c[:3] == 1.0)
 
 

@@ -596,6 +596,23 @@ class TestDirichletEdgeData:
         for edge in ("right", "top"):
             assert np.array_equal(getattr(by_hand.bv, edge), getattr(levels[1].bv, edge))
 
+    def test_pinned_ring_velocity_follows_the_edge_data(self):
+        # On the ring both schemes set v_new = 2 (u_new - u) / tau - v, u being
+        # the exact edge data at both levels, so their ring velocities agree.
+        p = get_problem("line-kink-2d")
+        g = p.grid(9, 7)
+        tau = 0.1
+        levels = {scheme: [] for scheme in SCHEMES}
+        for scheme in SCHEMES:
+            run(p, g, TimeGrid(tau, 4), scheme=scheme,
+                recorders=(lambda k, st: levels[scheme].append(st),))
+        ring = ~interior_mask(g)
+        assert np.any(levels["ep-fds"][0].v[ring] != 0.0)
+        for old, new, li in zip(levels["ep-fds"], levels["ep-fds"][1:], levels["li-leps"][1:]):
+            expected = (new.u - old.u) * 2.0 / tau - old.v
+            assert np.array_equal(new.v[ring], expected[ring])
+            assert np.array_equal(new.v[ring], li.v[ring])
+
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_recorded_reports_reproduce_solver_totals(scheme):

@@ -139,15 +139,16 @@ def write_energy_csv(path: Path, records) -> None:
 def write_field_csv(path: Path, grid, values: np.ndarray) -> None:
     """One ``x,y,value`` row per node, j2 outermost, floats as ``repr`` (as :func:`_fmt`).
 
-    A grid row's values become Python floats only while that row is
-    written, which keeps the Python objects to one row of the field.
+    Each grid row is joined into one string, so its values become Python
+    floats only while that row is written, which keeps the Python objects to
+    one row of the field.
     """
     values = grid.check_field(np.asarray(values, dtype=float), "values")
     xs = [repr(x) for x in grid.x.tolist()]
     ys = [repr(y) for y in grid.y.tolist()]
     _write_csv(path, ("x", "y", "value"),
-               (f"{x},{y},{v!r}\r\n"
-                for y, row in zip(ys, values) for x, v in zip(xs, row.tolist())))
+               ("\r\n".join(map(f",{y},".join, zip(xs, map(float.__repr__, row.tolist()))))
+                + "\r\n" for y, row in zip(ys, values)))
 
 
 def _write_meta(out: Path, command: str, config: dict, extra: dict,

@@ -37,7 +37,7 @@ decreases means the solve has stagnated above the target.
 runs never load it.
 
 Both boundary modes share the operator and the solver.  On Dirichlet-exact
-grids the unknowns are the interior nodes: the caller lifts the known edge
+grids the unknowns are the interior nodes: the caller moves the known edge
 data into the right-hand side and passes fields that are zero on the pinned
 low-edge ring, and the solve keeps them zero there.
 
@@ -292,10 +292,11 @@ def pcg_solve(
 
     The preconditioner, the direct start of d-free spectral solves and the
     true-residual check of large steps follow the module docstring; the
-    report names the preconditioner.  The solve starts from ``x0`` (zero
-    without it) and stops when ``l2(rhs - A x) <= tol * max(1, l2(rhs))``,
-    judged on the recursively updated residual, and on large steps on the
-    true one as well.
+    report names the preconditioner.  The solve starts from ``x0``, or
+    without it from zero, whose residual is ``rhs`` itself (no matvec), and
+    stops when ``l2(rhs - A x) <= tol * max(1, l2(rhs))``, judged on the
+    recursively updated residual, and on large steps on the true one as
+    well.
 
     :class:`NonConvergenceError` is raised, naming the true and the recursive
     residual, when a large step's true residual stagnates above the target;
@@ -353,11 +354,17 @@ def pcg_solve(
         # P is the exact inverse of A: CG's first step from zero, alpha = 1
         precondition(rhs, x)
         start = 1
+        res = true_residual()
     elif x0 is None:
+        # A 0 is exactly zero, so the zero start's residual is rhs: no matvec
         x.fill(0.0)
-    elif x0 is not x:
-        np.copyto(x, grid.check_field(x0, "x0"))
-    res = replaced = true_residual()
+        np.copyto(r, rhs)
+        res = rhs_norm
+    else:
+        if x0 is not x:
+            np.copyto(x, grid.check_field(x0, "x0"))
+        res = true_residual()
+    replaced = res
     if res <= target:
         return x, SolveReport(start, res, True, name)
 

@@ -8,16 +8,22 @@ energy-preserving three-level method for the quadratized system
     dr/dt = (coupling(u) / 2) * v
 
 with ``r = sqrt(2 - cos u)`` at t = 0.  Each step eliminates ``v`` and ``r``
-and solves one symmetric positive definite system for the new field;
-velocity and auxiliary variable then follow pointwise, which keeps the
+and solves one symmetric positive definite system for the increment ``u_new
+- u``; velocity and auxiliary variable then follow pointwise, which keeps the
 per-node discrete energy balance exact.
 
 ``ep-fds`` is the fully implicit two-level energy-preserving comparison
 scheme built on the discrete variational derivative of ``1 - cos``; it
 conserves the original (non-quadratized) discrete energy exactly.  Each step
-solves for its increment ``u_new - u`` by fixed-point iteration with an inner
-linear solve per sweep, from an O(tau^4) start, with stops relative to the
-increment and early sweeps solved only as tightly as the next sweep can use.
+solves for its increment by fixed-point iteration with an inner linear solve
+per sweep, from an O(tau^4) start, with stops relative to the increment and
+early sweeps solved only as tightly as the next sweep can use.
+
+Both schemes and both boundary modes share one path: the increment's
+explicit part ``b0`` (:func:`_base`), which holds the known edge data of
+Dirichlet-exact grids, and the new level built from the solved increment
+(:func:`_new_level`).  Each scheme adds only its right-hand side's nonlinear
+term and its ``r``.
 """
 
 from __future__ import annotations
@@ -135,94 +141,93 @@ def init_state(problem: Problem, grid: Grid) -> SchemeState:
     return SchemeState(grid, 0.0, u, v, r, bc=bc, bv=bc.values(0.0))
 
 
-def _lift(
-    state: SchemeState, tau: float, rhs: np.ndarray, scratch: np.ndarray
-) -> tuple[np.ndarray | None, BoundaryValues | None, np.ndarray]:
-    """Dirichlet lifting of the step solve from ``state``, through ``state.bc``.
+def _base(state: SchemeState, tau: float) -> tuple[np.ndarray, np.ndarray, BoundaryValues | None]:
+    """The increment's explicit part ``b0``, which both schemes' right-hand sides start from.
 
-    On Dirichlet-exact grids the new level is ``known + w``: ``known`` holds
-    the exact values on the pinned low-edge ring and zeros inside, and ``w``
-    solves the step system on the interior unknowns.  Adds the edge
-    contribution ``(tau^2/4) Lap(known)`` to ``rhs`` in place (through
-    ``scratch``) and zeroes ``rhs`` on the ring, as :func:`pcg_solve`
-    requires.  Returns ``known``, the new level's edge values ``bv`` (their
-    one evaluation) and the initial guess: ``state.u`` zeroed on the ring, a
-    new field.  Periodic states (``bc`` None) leave ``rhs`` untouched and get
-    ``(None, None, state.u)`` back.
+    On periodic grids ``b0 = tau (v + (tau/2) Lap u)``.  On Dirichlet-exact
+    grids ``b0 = tau v + (tau^2/4) (Lap u + Lap pinned)``, zeroed on the
+    pinned ring, where ``pinned`` is ``u`` with the new level's edge data on
+    its ring and each Laplacian reads its own level's edge values past the
+    high edges: ``b0`` then holds every contribution of the known edge data,
+    and the increment solves the system of the unknowns with zero edge data.
+    Returns ``b0`` (a new field), ``pinned`` (``u`` itself on periodic grids)
+    and the new level's edge values (their one evaluation; None on periodic
+    grids).
     """
-    bc = state.bc
+    grid, u, bc = state.grid, state.u, state.bc
+    b0 = laplacian(grid, u, state.bv, out=np.empty(grid.shape))
     if bc is None:
-        return None, None, state.u
-    grid = state.grid
-    t_new = state.t + tau
-    t2 = tau * tau
-    known = bc.pin(np.zeros(grid.shape), t_new)
-    bv = bc.values(t_new)
-    laplacian(grid, known, bv, out=scratch)
-    scratch *= 0.25 * t2
-    rhs += scratch
-    zero_pinned_ring(grid, rhs)
-    return known, bv, zero_pinned_ring(grid, state.u.copy())
+        pinned, bv = u, None
+        b0 *= 0.5 * tau
+    else:
+        t_new = state.t + tau
+        pinned, bv = bc.pin(u.copy(), t_new), bc.values(t_new)
+        b0 += laplacian(grid, pinned, bv, out=_workspace(grid.shape)[3])
+        b0 *= 0.25 * tau
+    b0 += state.v
+    b0 *= tau
+    return zero_pinned_ring(grid, b0), pinned, bv
 
 
-def _explicit_part(state: SchemeState, tau: float) -> np.ndarray:
-    """``u + tau v + (tau^2/4) Lap u`` of ``state`` in a new field.
+def _new_level(state: SchemeState, tau: float, d: np.ndarray | None, base: tuple,
+               delta: np.ndarray, r_new: np.ndarray, reports: tuple) -> SchemeState:
+    """The level one step from ``state`` reaches with the increment ``delta``, built in place.
 
-    li-leps' right-hand side starts from it, and ep-fds' on Dirichlet-exact
-    grids; its Laplacian reads ``state.bv``.  ``u + tau v`` is formed in the
-    CG workspace's scratch field, idle until the step's solve starts.  The
-    workspace is taken after the new field is allocated: a run's first step
-    may allocate the workspace, and the other order left ring-paper's
-    ``perfbench`` peak RSS higher (35.11 against 35.06 MB, a shared 2-core
-    host).
+    ``base`` is the step's :func:`_base`.  ``delta`` (zero on the pinned
+    ring) becomes ``u_new = u + delta``, which takes the new edge data on the
+    ring; ``b0``'s field becomes ``v_new = 2 (u_new - u) / tau - v``, with
+    ``u_new - u`` taken as ``delta`` off the ring and as the edge data's
+    change on it.  ``r_new`` receives li-leps' ``r + (d/2) (u_new - u)``
+    given its coupling field ``d``, else (``d`` None) ep-fds' ``sqrt(2 - cos
+    u_new)``: that scheme carries no auxiliary variable, and its levels,
+    two-level, carry no ``u_prev``.
     """
-    grid = state.grid
-    out = laplacian(grid, state.u, state.bv)
-    out *= 0.25 * (tau * tau)
-    s = np.multiply(state.v, tau, out=_workspace(grid.shape)[3])
-    s += state.u
-    out += s
-    return out
+    u, v = state.u, state.v
+    b0, pinned, bv = base
+    rings = () if state.bc is None else (np.s_[0], np.s_[:, 0])
+    for ring in rings:
+        np.subtract(pinned[ring], u[ring], out=delta[ring])
+    v_new = np.multiply(delta, 2.0 / tau, out=b0)
+    v_new -= v
+    if d is not None:
+        np.multiply(d, 0.5, out=r_new)
+        r_new *= delta
+        r_new += state.r
+    u_new = delta
+    u_new += u
+    for ring in rings:
+        u_new[ring] = pinned[ring]
+    if d is None:
+        one_minus_cos(u_new, r_new, _workspace(u.shape)[3])
+        r_new += 1.0
+        np.sqrt(r_new, out=r_new)
+    return SchemeState(state.grid, state.t + tau, u_new, v_new, r_new,
+                       u_prev=None if d is None else u, bc=state.bc, bv=bv, reports=reports)
 
 
 def _li_advance(state: SchemeState, tau: float, d: np.ndarray, cg_tol: float) -> SchemeState:
     """Shared body of the first and regular steps; ``d`` is the frozen coupling field.
 
-    The right-hand side ``u + tau v + (tau^2/4) Lap u + (tau^2/8) d^2 u -
-    (tau^2/2) d r`` is assembled in place in the new level's ``v`` field,
-    which is free until the solve returns, through the CG workspace's scratch
-    field, idle until the solve starts.  The new level's ``r`` is allocated
-    after the solve, and both updates start from the one difference
-    ``u_new - u``.
+    Solves ``A delta = b0 - (tau^2/2) d r``, ``A = I - (tau^2/4) Lap +
+    (tau^2/8) d^2``, for the increment ``delta = u_new - u`` of the unknowns,
+    from zero.  The right-hand side is formed in ``b0``'s field, through the
+    CG workspace's scratch field, idle until the solve starts.
     """
     grid = state.grid
     _check_tau(tau)
-    u, v, r = state.u, state.v, state.r
-    t_new = state.t + tau
-    t2 = tau * tau
-
-    rhs = _explicit_part(state, tau)
-    s = np.multiply(d, d, out=_workspace(grid.shape)[3])
-    s *= 0.125 * t2
-    s *= u
-    rhs += s
-    np.multiply(d, 0.5 * t2, out=s)
-    s *= r
+    base = _base(state, tau)
+    s = np.multiply(d, 0.5 * tau * tau, out=_workspace(grid.shape)[3])
+    s *= state.r
+    rhs = base[0]
     rhs -= s
-    known, bv, x0 = _lift(state, tau, rhs, s)
-    u_new, report = pcg_solve(SystemOperator(grid, tau, d), rhs, tol=cg_tol, x0=x0)
-    if known is not None:
-        u_new += known
-
-    v_new = np.subtract(u_new, u, out=rhs)
-    r_new = np.multiply(d, 0.5)
-    r_new *= v_new
-    r_new += r
-    v_new *= 2.0
-    v_new /= tau
-    v_new -= v
-    return SchemeState(grid, t_new, u_new, v_new, r_new, u_prev=u, bc=state.bc, bv=bv,
-                       reports=(report,))
+    zero_pinned_ring(grid, rhs)
+    # pcg_solve stops at tol * max(1, l2(rhs)), so this tol stops it at
+    # cg_tol * max(1, l2(rhs), l2(u)), u over the unknowns: the new level's scale.
+    unknowns = state.u if state.bc is None else zero_pinned_ring(grid, state.u.copy())
+    rhs_norm = max(1.0, grid.l2(rhs))
+    tol = cg_tol * max(1.0, grid.l2(unknowns) / rhs_norm)
+    delta, report = pcg_solve(SystemOperator(grid, tau, d), rhs, tol=tol)
+    return _new_level(state, tau, d, base, delta, np.empty(grid.shape), (report,))
 
 
 def li_leps_step(state: SchemeState, tau: float, cg_tol: float = CG_TOL) -> SchemeState:
@@ -335,7 +340,6 @@ def ep_fds_step(
     grid = state.grid
     _check_tau(tau)
     u, v = state.u, state.v
-    t_new = state.t + tau
     t2 = tau * tau
     op = SystemOperator(grid, tau)
 
@@ -346,23 +350,16 @@ def ep_fds_step(
     # lag difference borrow two more.  All three are idle between solves.
     sin_s, cos_s = _sweep_fields(grid.shape)
     r_new = rhs = np.empty(grid.shape)
-    if state.bc is None:
-        known, bv, x0 = None, None, u
-        b0 = v_new = laplacian(grid, u, out=np.empty(grid.shape))
-        b0 *= 0.5 * tau
-        b0 += v
-        b0 *= tau
-    else:
-        b0 = v_new = _explicit_part(state, tau)
-        known, bv, x0 = _lift(state, tau, b0, r_new)
-        b0 -= op.apply(x0, out=r_new)
+    base = _base(state, tau)
+    b0 = base[0]
     work, scratch, scratch2 = _workspace(grid.shape)[1:4]
 
     # The start.  Every sweep keeps delta zero on the pinned ring: there both
-    # Q(0) and the scaled sine of the zeroed start are zero, so every
-    # right-hand side keeps the zero ring the solve requires.
-    sin_cos(x0, sin_s, cos_s, scale=0.5 * t2)
-    delta = u_new = laplacian(grid, v, out=np.empty(grid.shape))
+    # Q(0) and the scaled sine, zeroed, are zero, so every right-hand side
+    # keeps the zero ring the solve requires.
+    sin_cos(u, sin_s, cos_s, scale=0.5 * t2)
+    zero_pinned_ring(grid, sin_s)
+    delta = laplacian(grid, v, out=np.empty(grid.shape))
     delta *= 0.5 * t2
     delta -= np.multiply(cos_s, v, out=work)
     delta *= 0.5 * tau
@@ -408,20 +405,7 @@ def ep_fds_step(
         raise NumericalError(
             f"fixed-point iteration did not converge within {fp_max} sweeps{last}")
 
-    np.multiply(delta, 2.0 / tau, out=v_new)
-    v_new -= v
-    u_new += x0
-    if known is not None:
-        u_new += known
-        # delta is zero on the pinned ring, where u_new takes the edge data:
-        # there v_new is 2 (u_new - u) / tau - v, as in li-leps.
-        for ring in (np.s_[0], np.s_[:, 0]):
-            v_new[ring] = (known[ring] - u[ring]) * 2.0 / tau - v[ring]
-    one_minus_cos(u_new, r_new, scratch)
-    r_new += 1.0
-    np.sqrt(r_new, out=r_new)
-    return SchemeState(grid, t_new, u_new, v_new, r_new, bc=state.bc, bv=bv,
-                       reports=tuple(reports))
+    return _new_level(state, tau, None, base, delta, r_new, tuple(reports))
 
 
 # The production scheme comes first: every run without a scheme takes it.

@@ -184,6 +184,41 @@ def ep_fds_step_residual(state, new, tau, cg_tol):
     return l2(residual), target
 
 
+def li_leps_step_residual(state, new, tau, cg_tol):
+    """``(l2(A u_new - rhs), target)`` of a li-leps step ``state -> new``, in absolute form.
+
+    The step system on the unknowns, ``A u_new = u + tau v + (tau^2/4) Lap u
+    + (tau^2/8) d^2 u - (tau^2/2) d r`` with ``A = I - (tau^2/4) Lap +
+    (tau^2/8) d^2``, where each Laplacian reads its own level's edge data on
+    a Dirichlet grid (its field's ring and that level's high-edge values),
+    and ``d = sin(w) / sqrt(2 - cos w)`` at ``w = (3 u - u_prev)/2``, or at
+    ``u`` on a first step.  ``target = cg_tol * max(1, l2(rhs - A pinned),
+    l2(u))``, all on the unknowns, ``pinned`` being ``u`` with the new edge
+    data on its ring: the step's stop, scaled by its increment's right-hand
+    side and its field.
+    """
+    grid = state.grid
+    mask = interior_mask(grid)
+    c = 0.25 * tau * tau
+    w = state.u if state.u_prev is None else 1.5 * state.u - 0.5 * state.u_prev
+    d = np.sin(w) / np.sqrt(2.0 - np.cos(w))
+    old_edge = None if state.bv is None else (state.bv.right, state.bv.top)
+    new_edge = None if new.bv is None else (new.bv.right, new.bv.top)
+
+    def l2(U):
+        U = np.where(mask, U, 0.0)
+        return math.sqrt(brute_force_inner(grid, U, U))
+
+    def system(U):
+        return U - c * naive_laplacian(grid, U, new_edge) + 0.5 * c * d * d * U
+
+    rhs = (state.u + tau * state.v + c * naive_laplacian(grid, state.u, old_edge)
+           + 0.5 * c * d * d * state.u - 2.0 * c * d * state.r)
+    pinned = np.where(mask, state.u, new.u)
+    target = cg_tol * max(1.0, l2(rhs - system(pinned)), l2(state.u))
+    return l2(system(new.u) - rhs), target
+
+
 def centered_derivative(fn, x, h=1e-4):
     """Second-order centered first derivative."""
     return (fn(x + h) - fn(x - h)) / (2.0 * h)

@@ -483,11 +483,16 @@ def test_non_finite_rhs_raises(bad, tau, with_x0, monkeypatch):
     (make_grid(0, 1, 0, 1, n1=8, n2=8), 0.1, True, "spectral"),
     (make_grid(0, 1, 0, 1, n1=8, n2=8), 0.1, False, "spectral"),
 ], ids=["jacobi", "jacobi-large-1d", "spectral-cg", "direct"])
-def test_zero_start_equals_zero_x0(grid, tau, with_d, preconditioner):
+def test_zero_start_equals_zero_x0(grid, tau, with_d, preconditioner, monkeypatch):
+    # Without x0 the start's residual is rhs itself, which saves the matvec of
+    # A 0; the direct solve ignores x0 and takes the same one matvec either way.
     op = random_operator(grid, tau, seed=65) if with_d else SystemOperator(grid, tau)
     rhs = np.random.default_rng(66).normal(size=grid.shape)
+    calls = count_applies(monkeypatch)
     x, report = pcg_solve(op, rhs)
+    applies = len(calls)
     x_zero, report_zero = pcg_solve(op, rhs, x0=np.zeros(grid.shape))
     np.testing.assert_array_equal(x, x_zero)
     assert report == report_zero
     assert report.preconditioner == preconditioner
+    assert len(calls) - applies == applies + (1 if with_d else 0)

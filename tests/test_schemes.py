@@ -10,12 +10,14 @@ from sinegordon import (NonConvergenceError, NumericalError, SchemeState, System
                         global_energy_original, init_state, li_leps_first_step,
                         li_leps_step, make_grid, run)
 from sinegordon import schemes
+from sinegordon.diagnostics import EnergyRecorder
 from sinegordon.linear_solver import _workspace
 from sinegordon.operators import BoundaryValues, extrapolate_half_step
 from sinegordon.problems import DirichletBoundary, Problem
 from sinegordon.schemes import SCHEMES
 
-from oracles import coupled_step_dense, ep_fds_step_residual, interior_mask
+from oracles import (coupled_step_dense, ep_fds_step_residual, interior_mask,
+                     li_leps_step_residual)
 
 
 def rest_state(grid):
@@ -30,6 +32,19 @@ def random_state(grid, seed, with_prev=False):
     r = rng.normal(size=grid.shape)
     u_prev = rng.normal(size=grid.shape) if with_prev else None
     return SchemeState(grid, 0.0, u, v, r, u_prev=u_prev)
+
+
+def perturbed_state(problem, n, seed, rng):
+    """A random state on the unit square (``problem`` None), or ``problem``'s
+    start with normal noise on ``u`` and ``v`` off the pinned ring."""
+    if problem is None:
+        return random_state(make_grid(0, 1, 0, 1, n1=n[0], n2=n[1]), seed)
+    p = get_problem(problem)
+    g = p.grid(*n)
+    start = init_state(p, g)
+    noise = np.where(interior_mask(g), rng.normal(size=(2, *g.shape)), 0.0)
+    return SchemeState(g, 0.0, start.u + noise[0], start.v + noise[1], start.r,
+                       bc=start.bc, bv=start.bv)
 
 
 class TestTimeGrid:
@@ -192,6 +207,32 @@ class TestLiLepsStep:
             out = li_leps_step(st, tau)
             assert np.all(np.isfinite(out.u))
 
+    @pytest.mark.parametrize("problem,n,tau,preconditioner", [
+        (None, (16, 16), 0.01, "jacobi"), (None, (16, 16), 0.1, "spectral"),
+        ("line-kink-2d", (9, 7), 0.05, "jacobi"),
+    ], ids=["periodic-jacobi", "periodic-spectral", "dirichlet"])
+    def test_returned_level_meets_the_step_equation(self, problem, n, tau, preconditioner):
+        # Solved for the increment, checked in absolute form from outside the
+        # step, on a first step and the regular step after it:
+        # l2(A u_new - rhs) <= 2 target.
+        rng = np.random.default_rng(15)
+        for trial in range(3):
+            state = perturbed_state(problem, n, 60 + trial, rng)
+            for cg_tol in (1e-14, 1e-10):
+                first = li_leps_first_step(state, tau, cg_tol=cg_tol)
+                for old, new in ((state, first), (first, li_leps_step(first, tau, cg_tol))):
+                    assert [r.preconditioner for r in new.reports] == [preconditioner]
+                    residual, target = li_leps_step_residual(old, new, tau, cg_tol)
+                    assert residual <= 2 * target, (trial, cg_tol, residual / target)
+
+    def test_modified_energy_deviation_stays_at_round_off_at_small_steps(self):
+        # 4.3e-14 while the step solved for the whole new field, whose
+        # round-off scales with l2(u) rather than with the step's change
+        p = get_problem("double-pole-1d")
+        rec = EnergyRecorder()
+        run(p, p.grid(1600), TimeGrid.from_final_time(0.0025, 1.0), recorders=(rec,))
+        assert max(r.deviation for r in rec.records) <= 1e-14
+
     def test_rejects_nonpositive_tau(self):
         g = make_grid(0, 1, 0, 1, n1=8, n2=8)
         st = random_state(g, 30, with_prev=True)
@@ -285,16 +326,7 @@ class TestEpFdsStep:
         # l2(A delta - b0 + (tau^2/2) Q(delta)) <= 2 target.
         rng = np.random.default_rng(14)
         for trial in range(3):
-            if problem is None:
-                g = make_grid(0, 1, 0, 1, n1=n[0], n2=n[1])
-                state = random_state(g, 50 + trial)
-            else:
-                p = get_problem(problem)
-                g = p.grid(*n)
-                start = init_state(p, g)
-                noise = np.where(interior_mask(g), rng.normal(size=(2, *g.shape)), 0.0)
-                state = SchemeState(g, 0.0, start.u + noise[0], start.v + noise[1], start.r,
-                                    bc=start.bc, bv=start.bv)
+            state = perturbed_state(problem, n, 50 + trial, rng)
             for cg_tol in (1e-14, 1e-10):
                 new = ep_fds_step(state, tau, cg_tol=cg_tol)
                 assert {r.preconditioner for r in new.reports} == {preconditioner}
@@ -368,11 +400,14 @@ class TestLargeStepSolves:
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_unreachable_target_raises(self, scheme):
-        # At tau/h 16 the true residual stalls just above 1e-14 * l2(rhs).
+        # At tau/h 16 ep-fds' true residual stalls just above its target.
+        # li-leps, solving for its increment, meets its target there in all
+        # five steps; at tau/h 32 its first solve stalls above 1e-14 * l2(rhs).
         p = get_problem("double-pole-1d")
         g = p.grid(3200)
+        tau_over_h = 32 if scheme == "li-leps" else 16
         with pytest.raises(NonConvergenceError, match=r"true residual .*recursive"):
-            run(p, g, TimeGrid(16 * g.h1, 5), scheme=scheme)
+            run(p, g, TimeGrid(tau_over_h * g.h1, 5), scheme=scheme)
 
 
 class TestCosQuotient:
@@ -598,7 +633,8 @@ class TestDirichletEdgeData:
 
     def test_pinned_ring_velocity_follows_the_edge_data(self):
         # On the ring both schemes set v_new = 2 (u_new - u) / tau - v, u being
-        # the exact edge data at both levels, so their ring velocities agree.
+        # the exact edge data at both levels, so their ring velocities agree;
+        # li-leps' r takes the same change, r_new = r + (d/2) (u_new - u).
         p = get_problem("line-kink-2d")
         g = p.grid(9, 7)
         tau = 0.1
@@ -609,9 +645,13 @@ class TestDirichletEdgeData:
         ring = ~interior_mask(g)
         assert np.any(levels["ep-fds"][0].v[ring] != 0.0)
         for old, new, li in zip(levels["ep-fds"], levels["ep-fds"][1:], levels["li-leps"][1:]):
-            expected = (new.u - old.u) * 2.0 / tau - old.v
+            expected = (new.u - old.u) * (2.0 / tau) - old.v
             assert np.array_equal(new.v[ring], expected[ring])
             assert np.array_equal(new.v[ring], li.v[ring])
+        for old, new in zip(levels["li-leps"], levels["li-leps"][1:]):
+            d = coupling(old.u if old.u_prev is None else extrapolate_half_step(old.u, old.u_prev))
+            expected = d * 0.5 * (new.u - old.u) + old.r
+            assert np.array_equal(new.r[ring], expected[ring])
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

@@ -26,9 +26,9 @@ import numpy as np
 from . import __version__
 from .diagnostics import EnergyRecorder, error_vs_exact, convergence_orders
 from .grid import Grid
-from .linear_solver import CG_TOL, NumericalError
+from .linear_solver import NumericalError
 from .problems import PROBLEMS, Problem, get_problem
-from .schemes import FP_MAX, SCHEMES, RunResult, TimeGrid, run
+from .schemes import CG_TOL, FP_MAX, SCHEMES, RunResult, TimeGrid, run
 
 
 class ConfigError(Exception):
@@ -83,6 +83,16 @@ def _build(cfg: RunConfig) -> tuple[Problem, Grid, TimeGrid]:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return problem, grid, time_grid
+
+
+def _out_dir(cfg: RunConfig) -> Path:
+    """The output directory, created if missing; one that cannot be is a :class:`ConfigError`."""
+    out = Path(cfg.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {cfg.out_dir!r}: {exc}") from exc
+    return out
 
 
 def _field_csv_name(t: float) -> str:
@@ -216,8 +226,7 @@ class _SnapshotRecorder:
 def cmd_run(cfg: RunConfig) -> int:
     problem, grid, time_grid = _build(cfg)
     snap_steps = _snapshot_steps(cfg, time_grid)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
 
     energy = EnergyRecorder(every=cfg.record_every)
     snaps = _SnapshotRecorder(cfg, problem, grid, snap_steps)
@@ -257,15 +266,14 @@ def cmd_converge(cfg: RunConfig, levels: int) -> int:
     problem, _, _ = _build(cfg)
     if problem.exact is None:
         raise ConfigError(f"problem {cfg.problem!r} has no exact solution to converge against")
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
 
     rows = []
     failure = None
     for lvl in range(levels):
         scale = 2**lvl
         n1 = cfg.n1 * scale
-        n2 = None if cfg.n2 is None else cfg.n2 * scale
+        n2 = None if cfg.n2 is None or problem.dim == 1 else cfg.n2 * scale
         grid = problem.grid(n1, n2)
         time_grid = TimeGrid.from_final_time(cfg.tau / scale, cfg.T)
         try:
@@ -296,8 +304,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     level is freed before the next scheme starts.
     """
     problem, grid, time_grid = _build(cfg)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
 
     solver_stats = {}
     failure = None

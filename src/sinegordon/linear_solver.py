@@ -22,9 +22,9 @@ Where ``d`` is None or identically zero (the ep-fds operator), ``A`` is the
 circulant that ``P`` inverts exactly, so a spectral solve is direct: ``x = P
 rhs``, checked by one true residual.  That is CG's first step from zero (with
 an exact ``P`` its step length is 1), so it is reported as one iteration, and
-it ignores ``x0``.  Should its true residual miss the target, CG goes on from
-``x``.  The path is chosen by the matrix, not by how the operator was built:
-``d=None`` and ``d=zeros`` solve bit-identically.
+it ignores the start field.  Should its true residual miss the target, CG goes
+on from ``x``.  The path is chosen by the matrix, not by how the operator was
+built: ``d=None`` and ``d=zeros`` solve bit-identically.
 
 On large steps, ``tau^2 (1/h1^2 + 1/h2^2) >= 0.5`` (``tau^2/h1^2`` in 1D: the
 rule that selects the spectral path), a solve on either path accepts its
@@ -47,8 +47,11 @@ so a step faults in no fresh pages for them.  The workspace's fourth buffer,
 the scratch field, also holds the complex ``rfft2`` half-spectrum of the
 spectral preconditioner, since the scratch field is idle while the transform
 runs; the spectral symbol is kept for the most recent ``(grid, tau)``.  Every
-solution without ``out`` and every ``apply`` without ``out`` is a new array
-that shares no memory with them.
+solution without a start field and every ``apply`` without ``out`` is a new
+array that shares no memory with them.
+
+The solver knows no tolerance of its own: each caller passes the absolute
+residual target its step needs (see :mod:`~sinegordon.schemes`).
 """
 
 from __future__ import annotations
@@ -69,12 +72,7 @@ class NumericalError(RuntimeError):
 
 
 class NonConvergenceError(NumericalError):
-    """Raised when an iterative solve fails to reach its tolerance."""
-
-
-# The run's one tolerance: the default relative residual target of every
-# solve, step and run, and the stop of ep-fds' fixed point (schemes.ep_fds_step).
-CG_TOL = 1e-14
+    """Raised when an iterative solve fails to reach its target."""
 
 
 @dataclass(frozen=True)
@@ -284,44 +282,40 @@ class SystemOperator:
 def pcg_solve(
     op: SystemOperator,
     rhs: np.ndarray,
-    tol: float = CG_TOL,
-    x0: np.ndarray | None = None,
-    out: np.ndarray | None = None,
+    target: float,
+    x: np.ndarray | None = None,
 ) -> tuple[np.ndarray, SolveReport]:
     """Solve ``op @ x = rhs`` by preconditioned CG on the grid inner product.
 
     The preconditioner, the direct start of d-free spectral solves and the
     true-residual check of large steps follow the module docstring; the
-    report names the preconditioner.  The solve starts from ``x0``, or
-    without it from zero, whose residual is ``rhs`` itself (no matvec), and
-    stops when ``l2(rhs - A x) <= tol * max(1, l2(rhs))``, judged on the
-    recursively updated residual, and on large steps on the true one as
-    well.
+    report names the preconditioner.  The solve stops when ``l2(rhs - A x)
+    <= target``, judged on the recursively updated residual, and on large
+    steps on the true one as well.
+
+    Given ``x`` (a C-contiguous float field on the grid that does not overlap
+    ``rhs``), the solve starts from it, iterates in place and returns it.
+    Without ``x`` it starts from zero, whose residual is ``rhs`` itself (no
+    matvec), in a new array, which the caller owns.  Neither ``rhs`` nor
+    ``x`` may be a field of the workspace, which holds CG's ``r``, ``p`` and
+    ``q``.
 
     :class:`NonConvergenceError` is raised, naming the true and the recursive
     residual, when a large step's true residual stagnates above the target;
     it is raised too when the residual turns non-finite, and after ``10 *
     sqrt(node count)`` iterations (at least 10).  A right-hand side whose norm
     is not finite raises :class:`NumericalError` before any iteration, and a
-    ``tol`` that is not finite and positive raises ``ValueError``.
+    ``target`` that is not finite and positive raises ``ValueError``.
 
-    The solution goes into ``out`` (a C-contiguous float field on the grid
-    that does not overlap ``rhs``), which the solve returns; without ``out``
-    it goes into a new array, which the caller owns.  ``out`` may be ``x0``
-    itself: CG then iterates in place from it.  Either way the arithmetic is
-    that of ``out=None``, so the result is the same bit for bit.  ``rhs``,
-    ``x0`` and ``out`` must not be fields of the workspace, which holds CG's
-    ``r``, ``p`` and ``q``.
-
-    On Dirichlet-exact grids ``rhs`` and ``x0`` must be zero on the pinned
+    On Dirichlet-exact grids ``rhs`` and ``x`` must be zero on the pinned
     low-edge ring; the caller moves the known boundary contributions into
     ``rhs``.  ``op`` and the Jacobi step (``diag >= 1``) keep a zero ring
     zero, so every iterate and the solution are zero there as well.
     """
     grid = op.grid
     grid.check_field(rhs, "rhs")
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if not 0 < target < np.inf:
+        raise ValueError(f"target must be finite and positive, got {target}")
     cap = max(10, int(10 * np.sqrt(grid.num_nodes)))
     spectral = _is_spectral(grid, op.tau)
     if spectral:
@@ -343,27 +337,25 @@ def pcg_solve(
     rhs_norm = grid.l2(rhs)
     if not np.isfinite(rhs_norm):
         raise NumericalError(f"right-hand side has non-finite l2 norm {rhs_norm}")
-    target = tol * max(1.0, rhs_norm)
     start = 0
+    warm = x is not None
     # A new x comes after the Jacobi diagonal on the heap, so the diagonal,
     # freed when the solve returns, is reused by the next step instead of
     # being trimmed from the heap top and faulted in again: 4 minor faults
     # per li-leps step on ring 200² with x allocated here, 136 with x first.
-    x = _out_field(grid, rhs, out)
+    x = _out_field(grid, rhs, x, "x")
     if spectral and (op.d is None or not op.d.any()):
         # P is the exact inverse of A: CG's first step from zero, alpha = 1
         precondition(rhs, x)
         start = 1
         res = true_residual()
-    elif x0 is None:
+    elif warm:
+        res = true_residual()
+    else:
         # A 0 is exactly zero, so the zero start's residual is rhs: no matvec
         x.fill(0.0)
         np.copyto(r, rhs)
         res = rhs_norm
-    else:
-        if x0 is not x:
-            np.copyto(x, grid.check_field(x0, "x0"))
-        res = true_residual()
     replaced = res
     if res <= target:
         return x, SolveReport(start, res, True, name)

@@ -89,22 +89,24 @@ def add_y_neighbour_sum(grid: Grid, U: np.ndarray, bv: BoundaryValues | None,
         out[0] += U[-1]
 
 
-def _out_field(grid: Grid, U: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+def _out_field(grid: Grid, U: np.ndarray, out: np.ndarray | None,
+               name: str = "out") -> np.ndarray:
     """``out`` checked as a C-contiguous float field on ``grid`` apart from ``U``, or a new field.
 
-    The one ``out`` check of the operators, :meth:`SystemOperator.apply
-    <sinegordon.linear_solver.SystemOperator.apply>` and
-    :func:`~sinegordon.linear_solver.pcg_solve`; ``U`` is their input.
+    The one ``out`` check of the operators and :meth:`SystemOperator.apply
+    <sinegordon.linear_solver.SystemOperator.apply>`, and the check of
+    :func:`~sinegordon.linear_solver.pcg_solve`'s start field ``x``; ``U`` is
+    their input, and ``name`` the argument's name in the errors.
     """
     if out is None:
         return np.empty(grid.shape)
-    grid.check_field(out, "out")
+    grid.check_field(out, name)
     if out.dtype != float:
-        raise ValueError("out must be a float field")
+        raise ValueError(f"{name} must be a float field")
     if np.may_share_memory(out, U):
-        raise ValueError("out must not overlap its input")
+        raise ValueError(f"{name} must not overlap its input")
     if not out.flags.c_contiguous:
-        raise ValueError("out must be C-contiguous")
+        raise ValueError(f"{name} must be C-contiguous")
     return out
 
 

@@ -38,14 +38,20 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .grid import Boundary, Grid
-from .linear_solver import (CG_TOL, NumericalError, SolveReport, SystemOperator,
-                            _workspace, pcg_solve)
+from .linear_solver import NumericalError, SolveReport, SystemOperator, _workspace, pcg_solve
 from .operators import (BoundaryValues, extrapolate_half_step, laplacian, one_minus_cos, sin_cos,
                         zero_pinned_ring)
 # The steps read only validated fields, so they take operators.coupling's
 # kernel, which skips the finiteness pass; perfbench traces it by this name.
 from .operators import _coupling as coupling
 from .problems import DirichletBoundary, Problem
+
+# The run's one tolerance, which each step turns into the absolute target of
+# its solves: li-leps in _li_advance, ep-fds in ep_fds_step.
+CG_TOL = 1e-14
+
+# Default cap on ep-fds' fixed-point sweeps per step.
+FP_MAX = 50
 
 
 @dataclass(frozen=True)
@@ -210,8 +216,10 @@ def _li_advance(state: SchemeState, tau: float, d: np.ndarray, cg_tol: float) ->
 
     Solves ``A delta = b0 - (tau^2/2) d r``, ``A = I - (tau^2/4) Lap +
     (tau^2/8) d^2``, for the increment ``delta = u_new - u`` of the unknowns,
-    from zero.  The right-hand side is formed in ``b0``'s field, through the
-    CG workspace's scratch field, idle until the solve starts.
+    from zero, to ``cg_tol * max(1, l2(rhs), l2(u))``, ``u`` over the
+    unknowns: the new level's scale.  The right-hand side is formed in
+    ``b0``'s field, through the CG workspace's scratch field, idle until the
+    solve starts.
     """
     grid = state.grid
     _check_tau(tau)
@@ -221,12 +229,9 @@ def _li_advance(state: SchemeState, tau: float, d: np.ndarray, cg_tol: float) ->
     rhs = base[0]
     rhs -= s
     zero_pinned_ring(grid, rhs)
-    # pcg_solve stops at tol * max(1, l2(rhs)), so this tol stops it at
-    # cg_tol * max(1, l2(rhs), l2(u)), u over the unknowns: the new level's scale.
     unknowns = state.u if state.bc is None else zero_pinned_ring(grid, state.u.copy())
-    rhs_norm = max(1.0, grid.l2(rhs))
-    tol = cg_tol * max(1.0, grid.l2(unknowns) / rhs_norm)
-    delta, report = pcg_solve(SystemOperator(grid, tau, d), rhs, tol=tol)
+    target = cg_tol * max(1.0, grid.l2(rhs), grid.l2(unknowns))
+    delta, report = pcg_solve(SystemOperator(grid, tau, d), rhs, target)
     return _new_level(state, tau, d, base, delta, np.empty(grid.shape), (report,))
 
 
@@ -289,10 +294,6 @@ def _cos_quotient(
     np.copyto(numerator, sin_old, where=limit)
     return np.divide(numerator, half, out=out)
 
-
-# Default cap on ep-fds' fixed-point sweeps per step; the sweeps stop on the
-# run's one tolerance, cg_tol.
-FP_MAX = 50
 
 # The floor of ep-fds' stop, the smallest normal float: a rest state, whose
 # increment and sine are zero, still gets a positive target.  (np.finfo
@@ -367,16 +368,10 @@ def ep_fds_step(
     delta -= sin_s
     zero_pinned_ring(grid, delta)
 
-    b0_norm, sin_norm = grid.l2(b0), grid.l2(sin_s)
-    target = max(cg_tol * max(b0_norm, sin_norm), _TINY)
+    target = max(cg_tol * max(grid.l2(b0), grid.l2(sin_s)), _TINY)
     q = _cos_quotient(delta, sin_s, cos_s, work, scratch, scratch2)
     lag = grid.l2(np.subtract(q, sin_s, out=scratch))
     np.subtract(b0, q, out=rhs)
-    # pcg_solve stops at tol * max(1, l2(rhs)), so tol = goal / max(1, bound)
-    # keeps each solve within its goal.  The bound on l2(rhs) starts from
-    # the triangle inequality on b0 - sin - (Q - sin) and grows by each lag,
-    # the norm of the change of rhs, in place of a norm of each rhs.
-    rhs_bound = b0_norm + sin_norm + lag
     # The sweep map's contraction bound; only a contraction lets a sweep stop
     # short of the target.
     contraction = 0.25 * t2
@@ -384,7 +379,7 @@ def ep_fds_step(
     res_prev = math.inf  # the last solve's residual; delta* came from no solve
     for _ in range(fp_max):
         goal = max(target, contraction * lag) if contraction < 1.0 else target
-        report = pcg_solve(op, rhs, tol=goal / max(1.0, rhs_bound), x0=delta, out=delta)[1]
+        report = pcg_solve(op, rhs, goal, delta)[1]
         reports.append(report)
         res = report.final_residual
         # The next lag is at most contraction * l2(delta - delta_prev), and
@@ -399,7 +394,6 @@ def ep_fds_step(
         if goal == target and lag <= target:
             break
         np.copyto(rhs, rhs_next)
-        rhs_bound += lag
     else:
         last = f" (last lag {lag:.3e}, target {target:.3e})" if reports else ""
         raise NumericalError(
@@ -442,9 +436,9 @@ def run(
     message prefixed with the step index and the ``t`` of the level it was
     producing.
 
-    ``cg_tol`` is the run's one tolerance: every linear solve meets it and
-    ep-fds' fixed point stops on it (see :func:`ep_fds_step`); ``fp_max``
-    caps ep-fds' sweeps per step.
+    ``cg_tol`` is the run's one tolerance: each step scales it into the
+    absolute targets of its solves, and ep-fds' fixed point stops on it (see
+    :func:`ep_fds_step`); ``fp_max`` caps ep-fds' sweeps per step.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")

@@ -326,6 +326,29 @@ class TestMainCli:
         assert rc == 0
         assert (tmp_path / "convergence.csv").exists()
 
+    def test_converge_1d_refines_n1_alone(self, tmp_path):
+        # a 1D problem's n2 stays 1 at every level, so --n 40,1 is --n 40
+        args = ["converge", "--problem", "double-pole-1d", "--tau", "0.1", "--T", "0.2",
+                "--levels", "2"]
+        tables = []
+        for name, n in (("n1", "40"), ("n1-n2", "40,1")):
+            assert main([*args, "--n", n, "--out", str(tmp_path / name)]) == 0
+            tables.append([row[:-1] for row in read_csv(tmp_path / name / "convergence.csv")])
+        assert len(tables[0]) == 3 and tables[1] == tables[0]  # cpu_s aside
+
+    @pytest.mark.parametrize("command,extra", [
+        ("run", ()), ("converge", ("--levels", "2")), ("compare", ()),
+    ])
+    @pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "below-a-file"])
+    def test_out_that_cannot_be_created_exits_2(self, tmp_path, capsys, command, extra, below):
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        rc = main([command, "--problem", "double-pole-1d", "--n", "20", "--tau", "0.1",
+                   "--T", "0.1", "--out", str(blocker.joinpath(*below)), *extra])
+        assert rc == 2
+        assert "error: cannot create output directory" in capsys.readouterr().err
+        assert blocker.read_text() == "kept"
+
     def test_compare_cli(self, tmp_path):
         rc = main(["compare", "--problem", "double-pole-1d", "--n", "60",
                    "--tau", "0.02", "--T", "0.1", "--out", str(tmp_path)])

@@ -5,8 +5,14 @@ from sinegordon import (Boundary, NonConvergenceError, NumericalError, SystemOpe
                         coupling, get_problem, make_grid, pcg_solve)
 
 from sinegordon.linear_solver import SolveReport, _spectral, _spectral_solve, _workspace
+from sinegordon.schemes import CG_TOL
 
 from oracles import dense_system_matrix, interior_mask, peak_fields
+
+
+def target_of(grid, rhs, tol=CG_TOL):
+    """The absolute target ``tol * max(1, l2(rhs))``: the run's tolerance scaled to ``rhs``."""
+    return tol * max(1.0, grid.l2(rhs))
 
 
 def random_operator(grid, tau, seed=0):
@@ -124,7 +130,8 @@ def test_diagonal_computed_once_per_operator(monkeypatch):
     calls = count_diagonals(monkeypatch)
     rng = np.random.default_rng(4)
     for _ in range(3):
-        assert pcg_solve(op, rng.normal(size=g.shape))[1].preconditioner == "jacobi"
+        rhs = rng.normal(size=g.shape)
+        assert pcg_solve(op, rhs, target_of(g, rhs))[1].preconditioner == "jacobi"
     assert len(calls) == 1
 
 
@@ -134,7 +141,8 @@ def test_spectral_solves_compute_no_diagonal(monkeypatch):
     calls = count_diagonals(monkeypatch)
     rng = np.random.default_rng(4)
     for _ in range(3):
-        assert pcg_solve(op, rng.normal(size=g.shape))[1].preconditioner == "spectral"
+        rhs = rng.normal(size=g.shape)
+        assert pcg_solve(op, rhs, target_of(g, rhs))[1].preconditioner == "spectral"
     assert calls == []
 
 
@@ -147,8 +155,8 @@ def test_operator_without_d_matches_zero_d(grid, tau):
     rng = np.random.default_rng(45)
     w, rhs = np.where(interior_mask(grid), rng.normal(size=(2, *grid.shape)), 0.0)
     np.testing.assert_array_equal(bare.apply(w), zero.apply(w))
-    x, report = pcg_solve(bare, rhs)
-    x0, report0 = pcg_solve(zero, rhs)
+    x, report = pcg_solve(bare, rhs, target_of(grid, rhs))
+    x0, report0 = pcg_solve(zero, rhs, target_of(grid, rhs))
     np.testing.assert_array_equal(x, x0)
     assert report == report0
     # the diagonal does not depend on the boundary mode
@@ -162,9 +170,10 @@ def test_repeat_solve_allocates_at_most_two_fields():
     op = random_operator(g, 0.3, seed=26)
     rng = np.random.default_rng(27)
     rhs, x0 = rng.normal(size=g.shape), rng.normal(size=g.shape)
-    _, report = pcg_solve(op, rhs, x0=x0)  # warm-up: the workspace and the diagonal
+    target = target_of(g, rhs)
+    _, report = pcg_solve(op, rhs, target, x0.copy())  # warm-up: the workspace and the diagonal
     assert report.iterations >= 2
-    assert peak_fields(lambda: pcg_solve(op, rhs, x0=x0), g.shape) <= 2
+    assert peak_fields(lambda: pcg_solve(op, rhs, target, x0.copy()), g.shape) <= 2
 
 
 @pytest.mark.parametrize("tau", [0.01, 0.2], ids=["jacobi", "spectral"])
@@ -174,9 +183,10 @@ def test_warm_solve_allocates_only_its_result(tau):
     g = make_grid(-14, 14, -14, 14, n1=200, n2=200)
     op = random_operator(g, tau, seed=30)
     rhs = np.random.default_rng(31).normal(size=g.shape)
-    _, report = pcg_solve(op, rhs)  # warm-up: the workspace and the preconditioner
+    target = target_of(g, rhs)
+    _, report = pcg_solve(op, rhs, target)  # warm-up: the workspace and the preconditioner
     assert report.iterations >= 2
-    assert peak_fields(lambda: pcg_solve(op, rhs), g.shape) <= 1.05
+    assert peak_fields(lambda: pcg_solve(op, rhs, target), g.shape) <= 1.05
 
 
 def test_results_share_no_memory_with_the_workspace():
@@ -184,7 +194,9 @@ def test_results_share_no_memory_with_the_workspace():
     op = random_operator(g, 0.5, seed=28)
     rng = np.random.default_rng(29)
     rhs, x0, w = (rng.normal(size=g.shape) for _ in range(3))
-    results = [pcg_solve(op, rhs)[0], pcg_solve(op, rhs, x0=x0)[0], op.apply(w)]
+    target = target_of(g, rhs)
+    results = [pcg_solve(op, rhs, target)[0], pcg_solve(op, rhs, target, x0.copy())[0],
+               op.apply(w)]
     work = _workspace(g.shape)
     for res in results:
         for field in (*work, rhs, x0, w):
@@ -199,7 +211,11 @@ def test_alternating_shapes_solve_as_in_reverse_order():
               for _ in range(3) for op in ops]
 
     def solve_all(order):
-        return {i: pcg_solve(solves[i][0], solves[i][1], x0=solves[i][2])[0] for i in order}
+        x = {}
+        for i in order:
+            op, rhs, x0 = solves[i]
+            x[i] = pcg_solve(op, rhs, target_of(op.grid, rhs), x0.copy())[0]
+        return x
 
     forward = solve_all(range(len(solves)))
     backward = solve_all(reversed(range(len(solves))))
@@ -213,7 +229,7 @@ def test_manufactured_solution_recovered():
     rng = np.random.default_rng(5)
     x_star = rng.normal(size=g.shape)
     rhs = op.apply(x_star)
-    x, report = pcg_solve(op, rhs)
+    x, report = pcg_solve(op, rhs, target_of(g, rhs))
     assert report.converged
     assert g.l2(x - x_star) <= 1e-12
 
@@ -221,7 +237,7 @@ def test_manufactured_solution_recovered():
 def test_zero_rhs_zero_iterations():
     g = make_grid(0, 1, 0, 1, n1=8, n2=8)
     op = random_operator(g, 0.1, seed=6)
-    x, report = pcg_solve(op, np.zeros(g.shape))
+    x, report = pcg_solve(op, np.zeros(g.shape), CG_TOL)
     assert report.iterations == 0
     assert np.all(x == 0.0)
 
@@ -231,7 +247,7 @@ def test_identity_system_converges_in_one_iteration():
     rng = np.random.default_rng(7)
     op = SystemOperator(g, 0.0, np.zeros(g.shape))
     rhs = rng.normal(size=g.shape)
-    x, report = pcg_solve(op, rhs)
+    x, report = pcg_solve(op, rhs, target_of(g, rhs))
     assert report.iterations <= 1
     np.testing.assert_allclose(x, rhs, rtol=0, atol=1e-14)
 
@@ -241,7 +257,7 @@ def test_residual_contract():
     op = random_operator(g, 0.08, seed=8)
     rng = np.random.default_rng(9)
     rhs = rng.normal(size=g.shape)
-    x, report = pcg_solve(op, rhs, tol=1e-14)
+    x, report = pcg_solve(op, rhs, target_of(g, rhs, 1e-14))
     res = g.l2(rhs - op.apply(x))
     assert res <= 1e-14 * max(1.0, g.l2(rhs))
     # the recurrence residual tracks the true one up to round-off drift
@@ -256,7 +272,7 @@ def test_dirichlet_solve_stays_on_interior_unknowns():
     rng = np.random.default_rng(16)
     rhs = np.where(interior, rng.normal(size=g.shape), 0.0)
     x0 = np.where(interior, rng.normal(size=g.shape), 0.0)
-    x, report = pcg_solve(op, rhs, x0=x0)
+    x, report = pcg_solve(op, rhs, target_of(g, rhs), x0)
     assert report.converged and report.iterations >= 2
     assert np.all(x[~interior] == 0.0)
     # CG's residual, search direction and its image stayed on the unknowns too
@@ -300,7 +316,7 @@ def test_error_energy_norm_decreases_monotonically():
         x_star = np.linalg.solve(A, rhs.ravel()).reshape(g.shape)
         history, iterations = [], []
         for tol in 10.0 ** -np.arange(1, 15):
-            x, report = pcg_solve(op, rhs, tol=tol)
+            x, report = pcg_solve(op, rhs, target_of(g, rhs, tol))
             assert report.preconditioner == preconditioner
             e = x - x_star
             history.append(np.sqrt(g.inner(op.apply(e), e)))
@@ -316,10 +332,11 @@ def test_non_convergence_raises():
     op = random_operator(g, 16 * g.h1, seed=12)
     rhs = np.random.default_rng(13).normal(size=g.shape)
     with pytest.raises(NonConvergenceError, match=r"did not reach .* within 200 iterations"):
-        pcg_solve(op, rhs)
+        pcg_solve(op, rhs, target_of(g, rhs))
 
 
 def test_non_finite_or_nonpositive_tau_and_tol_rejected():
+    # the solve's tolerance is its absolute target
     g = make_grid(0, 1, 0, 1, n1=8, n2=8)
     rhs = np.random.default_rng(67).normal(size=g.shape)
     for bad in (-0.1, np.nan, np.inf):
@@ -327,8 +344,8 @@ def test_non_finite_or_nonpositive_tau_and_tol_rejected():
             SystemOperator(g, bad)
     op = random_operator(g, 0.1, seed=68)
     for bad in (0.0, -1e-14, np.nan, np.inf):
-        with pytest.raises(ValueError, match="tol"):
-            pcg_solve(op, rhs, tol=bad)
+        with pytest.raises(ValueError, match="target"):
+            pcg_solve(op, rhs, bad)
 
 
 def test_grid_mismatch_rejected():
@@ -337,7 +354,7 @@ def test_grid_mismatch_rejected():
     with pytest.raises(ValueError):
         op.apply(np.zeros((3, 3)))
     with pytest.raises(ValueError):
-        pcg_solve(op, np.zeros((3, 3)))
+        pcg_solve(op, np.zeros((3, 3)), CG_TOL)
 
 
 @pytest.mark.parametrize("grid", [
@@ -358,7 +375,7 @@ def test_spectral_solve_matches_dense_oracle():
     tau = 3.0 * g.h1
     op = random_operator(g, tau, seed=41)
     rhs = np.random.default_rng(42).normal(size=g.shape)
-    x, report = pcg_solve(op, rhs)
+    x, report = pcg_solve(op, rhs, target_of(g, rhs))
     assert report.preconditioner == "spectral" and report.converged
     x_dense = np.linalg.solve(dense_system_matrix(g, tau, op.d), rhs.ravel())
     np.testing.assert_allclose(x.ravel(), x_dense, rtol=0, atol=1e-12)
@@ -372,7 +389,7 @@ def test_spectral_solve_stops_when_the_true_residual_stagnates(monkeypatch):
     rhs = np.random.default_rng(44).normal(size=g.shape)
     calls = count_applies(monkeypatch)
     with pytest.raises(NonConvergenceError, match=r"true residual .*recursive"):
-        pcg_solve(op, rhs, tol=1e-17)
+        pcg_solve(op, rhs, target_of(g, rhs, 1e-17))
     assert 0 < len(calls) <= 32  # a matvec per iteration and per true residual; the cap is 320
 
 
@@ -382,7 +399,7 @@ def test_spectral_solve_stops_when_the_true_residual_stagnates(monkeypatch):
 ], ids=["9x7", "64x48"])
 def test_d_free_spectral_solve_is_one_exact_step(grid, with_zero_d, monkeypatch):
     # Without d the spectral preconditioner is A's exact inverse: the solve
-    # returns P rhs, checked by one true residual, whatever x0 it is given.
+    # returns P rhs, checked by one true residual, whatever start it is given.
     tau = 2.0 * grid.h1
     op = SystemOperator(grid, tau, np.zeros(grid.shape) if with_zero_d else None)
     rng = np.random.default_rng(46)
@@ -390,12 +407,12 @@ def test_d_free_spectral_solve_is_one_exact_step(grid, with_zero_d, monkeypatch)
     direct = _spectral_solve(_spectral(grid.shape, grid.h1, grid.h2, tau), rhs,
                              np.empty(grid.shape))
     calls = count_applies(monkeypatch)
-    x, report = pcg_solve(op, rhs)
+    x, report = pcg_solve(op, rhs, target_of(grid, rhs))
     assert len(calls) == 1
     np.testing.assert_array_equal(x, direct)
     assert report == SolveReport(1, grid.l2(rhs - op.apply(x)), True, "spectral")
     for start in (x0, -x0):
-        x_start, report_start = pcg_solve(op, rhs, x0=start)
+        x_start, report_start = pcg_solve(op, rhs, target_of(grid, rhs), start)
         np.testing.assert_array_equal(x_start, x)
         assert report_start == report
 
@@ -407,12 +424,13 @@ def test_d_free_spectral_solve_is_one_exact_step(grid, with_zero_d, monkeypatch)
     (make_grid(0, 1, 0, 2, n1=9, n2=7), 0.5, 0.3),             # spectral, d != 0
 ], ids=["ring-paper", "1d", "dirichlet", "spectral-with-d"])
 def test_other_solves_start_from_x0(grid, tau, d):
-    # Only d-free spectral solves skip x0: every other solve handed its own
-    # solution as x0 returns it after no iteration.
+    # Only d-free spectral solves skip their start: every other solve started
+    # from its own solution returns it after no iteration.
     op = SystemOperator(grid, tau, None if d is None else np.full(grid.shape, d))
     x_star = np.where(interior_mask(grid), np.random.default_rng(47).normal(size=grid.shape),
                       0.0)
-    x, report = pcg_solve(op, op.apply(x_star), x0=x_star)
+    rhs = op.apply(x_star)
+    x, report = pcg_solve(op, rhs, target_of(grid, rhs), x_star.copy())
     assert report.preconditioner == ("jacobi" if d is None else "spectral")
     assert report.iterations == 0 and report.final_residual == 0.0
     np.testing.assert_array_equal(x, x_star)
@@ -424,10 +442,10 @@ def test_d_free_spectral_solve_missing_its_target_continues_cg(monkeypatch):
     g = make_grid(0, 1, 0, 1, n1=32, n2=32)
     op = SystemOperator(g, 0.1)
     rhs = np.random.default_rng(48).normal(size=g.shape)
-    assert pcg_solve(op, rhs)[1].iterations == 1
+    assert pcg_solve(op, rhs, target_of(g, rhs))[1].iterations == 1
     calls = count_applies(monkeypatch)
     with pytest.raises(NonConvergenceError, match=r"true residual .*recursive"):
-        pcg_solve(op, rhs, tol=1e-17)
+        pcg_solve(op, rhs, target_of(g, rhs, 1e-17))
     assert 1 < len(calls) <= 32  # a matvec per iteration and per true residual; the cap is 320
 
 
@@ -437,27 +455,46 @@ def test_d_free_spectral_solve_missing_its_target_continues_cg(monkeypatch):
     (make_grid(0, 1, 0, 2, n1=12, n2=10), 0.3, False),        # direct spectral
 ], ids=["jacobi", "spectral-cg", "direct"])
 def test_solve_into_x0_runs_in_place_and_bit_identical(grid, tau, with_d):
+    # the given start field is the one returned, solved in place
     op = random_operator(grid, tau, seed=60) if with_d else SystemOperator(grid, tau)
     rng = np.random.default_rng(61)
     rhs, x0 = rng.normal(size=(2, *grid.shape))
-    expected, expected_report = pcg_solve(op, rhs, x0=x0)
-    out = x0.copy()
-    x, report = pcg_solve(op, rhs, x0=out, out=out)
-    assert x is out
+    target = target_of(grid, rhs)
+    expected, expected_report = pcg_solve(op, rhs, target, x0.copy())
+    x, report = pcg_solve(op, rhs, target, x0)
+    assert x is x0
     np.testing.assert_array_equal(x, expected)
     assert report == expected_report
     assert report.iterations >= 1
 
 
+@pytest.mark.parametrize("grid,tau,with_d", [
+    (make_grid(-14, 14, -14, 14, n1=40, n2=40), 0.05, True),  # Jacobi
+    (make_grid(0, 1, 0, 2, n1=12, n2=10), 0.3, True),         # spectral CG
+    (make_grid(0, 1, 0, 2, n1=12, n2=10), 0.3, False),        # direct spectral
+], ids=["jacobi", "spectral-cg", "direct"])
+def test_absolute_target_below_the_relative_stop_is_met(grid, tau, with_d):
+    # ||rhs|| = 1e3 and a target a tenth of CG_TOL * ||rhs||: the solve meets
+    # the absolute target, not one scaled by ||rhs||
+    op = random_operator(grid, tau, seed=70) if with_d else SystemOperator(grid, tau)
+    rhs = np.random.default_rng(71).normal(size=grid.shape)
+    rhs *= 1e3 / grid.l2(rhs)
+    target = 0.1 * CG_TOL * grid.l2(rhs)
+    x, report = pcg_solve(op, rhs, target)
+    assert report.final_residual <= target
+    assert grid.l2(rhs - op.apply(x)) <= target
+
+
 def test_out_must_be_a_float_field_apart_from_rhs():
+    # pcg_solve's start field x is checked as every out field is
     g = make_grid(0, 1, 0, 1, n1=8, n2=8)
     op = random_operator(g, 0.1, seed=62)
     rhs = np.random.default_rng(63).normal(size=g.shape)
     for bad, match in [(np.empty((8, 7)), "shape"), (rhs, "overlap"), (rhs[::-1], "overlap"),
                        (np.empty(g.shape, dtype=np.float32), "float"),
                        (np.empty((8, 16))[:, ::2], "contiguous")]:
-        with pytest.raises(ValueError, match=match):
-            pcg_solve(op, rhs, out=bad)
+        with pytest.raises(ValueError, match=rf"^x .*{match}"):
+            pcg_solve(op, rhs, target_of(g, rhs), bad)
         with pytest.raises(ValueError, match=match):
             op.apply(rhs, out=bad)
 
@@ -473,7 +510,7 @@ def test_non_finite_rhs_raises(bad, tau, with_x0, monkeypatch):
     rhs[3, 5] = bad
     calls = count_applies(monkeypatch)
     with pytest.raises(NumericalError, match="right-hand side"):
-        pcg_solve(op, rhs, x0=x0 if with_x0 else None)
+        pcg_solve(op, rhs, CG_TOL, x0 if with_x0 else None)
     assert calls == []
 
 
@@ -484,14 +521,15 @@ def test_non_finite_rhs_raises(bad, tau, with_x0, monkeypatch):
     (make_grid(0, 1, 0, 1, n1=8, n2=8), 0.1, False, "spectral"),
 ], ids=["jacobi", "jacobi-large-1d", "spectral-cg", "direct"])
 def test_zero_start_equals_zero_x0(grid, tau, with_d, preconditioner, monkeypatch):
-    # Without x0 the start's residual is rhs itself, which saves the matvec of
-    # A 0; the direct solve ignores x0 and takes the same one matvec either way.
+    # Without x the start's residual is rhs itself, which saves the matvec of
+    # A 0; the direct solve ignores x and takes the same one matvec either way.
     op = random_operator(grid, tau, seed=65) if with_d else SystemOperator(grid, tau)
     rhs = np.random.default_rng(66).normal(size=grid.shape)
+    target = target_of(grid, rhs)
     calls = count_applies(monkeypatch)
-    x, report = pcg_solve(op, rhs)
+    x, report = pcg_solve(op, rhs, target)
     applies = len(calls)
-    x_zero, report_zero = pcg_solve(op, rhs, x0=np.zeros(grid.shape))
+    x_zero, report_zero = pcg_solve(op, rhs, target, np.zeros(grid.shape))
     np.testing.assert_array_equal(x, x_zero)
     assert report == report_zero
     assert report.preconditioner == preconditioner

@@ -30,6 +30,9 @@ PINS = {
         ("linear_solver.matvecs", "<=", 1036,
          "the Jacobi path's count with ep-fds' inexact early sweeps and li-leps' "
          "zero starts, which take no matvec: no direct solve reaches it"),
+        ("operators.laplacian_calls", "==", 300,
+         "100 li-leps steps take one Laplacian each, 100 ep-fds steps two "
+         "(its b0 and its start's Lap v)"),
     ),
     "ring-large-step": (
         ("linear_solver.cg_iters_max", "<=", 8,
@@ -40,6 +43,9 @@ PINS = {
         ("linear_solver.matvecs", "<=", 150,
          "each ep-fds sweep is a direct FFT solve with one matvec, its true-residual check, "
          "and li-leps' solves start from zero with none (250 when a sweep took three)"),
+        ("operators.laplacian_calls", "==", 40,
+         "20 li-leps steps take one Laplacian each, 10 ep-fds steps two "
+         "(its b0 and its start's Lap v)"),
     ),
     "paper-tables": (
         ("diagnostics.error_ms", ">", 0, "the error evaluation must have been traced"),

@@ -73,7 +73,7 @@ class Grid:
     def num_nodes(self) -> int:
         return self.n1 * self.n2
 
-    @property
+    @cached_property
     def cell_area(self) -> float:
         return self.h1 * self.h2
 
@@ -116,7 +116,7 @@ class Grid:
         """Discrete inner product ``h1*h2 * sum(U*V)``."""
         U = self.check_field(U)
         V = self.check_field(V)
-        return self.cell_area * float(np.dot(np.ravel(U), np.ravel(V)))
+        return self.cell_area * float(np.dot(U.ravel(), V.ravel()))
 
     def l2(self, U: np.ndarray) -> float:
         """Discrete L2 norm ``sqrt(<U, U>)``."""

@@ -15,8 +15,8 @@ both schemes always get the same class of solver on one configuration:
   few iterations at any ``tau/h``.
 - Every other grid (1D, Dirichlet-exact, or small ``tau/h``) uses the exact
   *Jacobi* diagonal, which wins there: an FFT pair costs more than the few
-  cheap iterations it saves.  It is computed once per operator, on the
-  Jacobi path alone.
+  cheap iterations it saves.  Its reciprocal is computed once per operator,
+  on the Jacobi path alone, and each application multiplies by it.
 
 Where ``d`` is None or identically zero (the ep-fds operator), ``A`` is the
 circulant that ``P`` inverts exactly, so a spectral solve is direct: ``x = P
@@ -29,10 +29,11 @@ built: ``d=None`` and ``d=zeros`` solve bit-identically.
 On large steps, ``tau^2 (1/h1^2 + 1/h2^2) >= 0.5`` (``tau^2/h1^2`` in 1D: the
 rule that selects the spectral path), a solve on either path accepts its
 result only after checking the true residual ``rhs - A x``, and reports it.
-Once the recursive residual meets the target, one ``op.apply`` recomputes the
-true one.  If that misses the target, it replaces the recursive residual and
-the search restarts from it (``p = z``); a replaced residual that no longer
-decreases means the solve has stagnated above the target.
+Once the recursive residual meets the target, or has set no new low for
+``_STALL_ITERATIONS`` iterations, one ``op.apply`` recomputes the true one.
+If that misses the target, it replaces the recursive residual and the search
+restarts from it (``p = z``); a replaced residual that no longer decreases
+means the solve has stagnated above the target.
 ``numpy.fft`` is imported on first use of the spectral path only, so Jacobi
 runs never load it.
 
@@ -56,6 +57,7 @@ residual target its step needs (see :mod:`~sinegordon.schemes`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
@@ -124,11 +126,23 @@ def _workspace(shape: tuple[int, int]) -> tuple[np.ndarray, ...]:
 #   320²  0.25    9.70 (7.0)  10.83 (3.0)
 #   320²  0.5    12.10 (10.7)  8.83 (3.0)
 #
-# ep-fds' direct sweeps cost less from tau/h 0.25 at 200², but below this
-# value they drift more than its Jacobi sweeps, so one value serves both.
+# ep-fds sweeps, solving for their increment, re-measured on ring 200² with
+# the path forced (median ms per step, two runs each): at tau/h 0.071 direct
+# transform sweeps take 3.8-3.9 against 2.7-3.1 on Jacobi, and raise the
+# original-energy deviation from 1.9e-16 to 1.5e-15 (collide4: 1.7e-15 to
+# 2.0e-14); at tau/h 0.25 they take 4.2-4.4 against 4.4-4.8 (deviation
+# 5.7e-16 against 1.3e-15).  Only steps between those two ratios would gain
+# from a rule of ep-fds' own, so one value serves both schemes.
 # In 1D the FFT lost or tied up to tau/h 4, so 1D grids stay on Jacobi.  The
 # same value marks the large steps whose solves check their true residual.
 _LARGE_STEP_RATIO = 0.5
+
+
+# On large steps, the iterations without a new lowest recursive residual
+# after which the true residual is taken, as when the recursive one meets
+# the target.  Solves that converge stay well below it: at most 8 such
+# iterations in a row over the test suite and the CI benchmark workloads.
+_STALL_ITERATIONS = 20
 
 
 def _is_large_step(grid: Grid, tau: float) -> bool:
@@ -192,6 +206,10 @@ class SystemOperator:
     Dirichlet-exact grid and zeroes the pinned low-edge ring of its output, so
     there ``A`` maps fields that are zero on the ring to fields that are zero
     on it: the system of the interior unknowns with homogeneous edge data.
+
+    What depends on the operator alone is computed on first use and kept: the
+    diagonal less the identity, the stencil scales of :meth:`apply` and, on
+    the Jacobi path, the reciprocal diagonal.
     """
 
     grid: Grid
@@ -228,16 +246,12 @@ class SystemOperator:
         w = grid.check_field(w, "w")
         out = _out_field(grid, w, out)
         s = x_neighbour_sum(grid, w, None, _workspace(grid.shape)[3])
-        t2 = self.tau * self.tau
-        bx = 0.25 * t2 / grid.h1**2
-        if grid.is_1d:
-            s *= bx
-        else:
-            by = 0.25 * t2 / grid.h2**2
-            if bx != by:
-                s *= bx / by
+        x_scale, y_scale = self._scales
+        if x_scale != 1.0:
+            s *= x_scale
+        if not grid.is_1d:
             add_y_neighbour_sum(grid, w, None, s)
-            s *= by
+            s *= y_scale
         np.multiply(self._excess, w, out=out)
         out -= s
         out += w
@@ -274,9 +288,31 @@ class SystemOperator:
         return e
 
     @cached_property
+    def _scales(self) -> tuple[float, float]:
+        """:meth:`apply`'s neighbour-sum scales, once per operator.
+
+        ``(bx, 0)`` in 1D; in 2D ``(bx/by, by)``: the x-sum is scaled by
+        ``bx/by`` (skipped where that is 1) before the y-sum joins it.
+        """
+        t2 = self.tau * self.tau
+        bx = 0.25 * t2 / self.grid.h1**2
+        if self.grid.is_1d:
+            return bx, 0.0
+        by = 0.25 * t2 / self.grid.h2**2
+        return (bx / by if bx != by else 1.0), by
+
+    @cached_property
     def _jacobi(self) -> np.ndarray | float:
-        """:meth:`diagonal`, computed on the first Jacobi solve and kept for every later one."""
-        return self.diagonal()
+        """The reciprocal of :meth:`diagonal`, computed on the first Jacobi solve and kept.
+
+        Computed in the diagonal's own field, so it costs no second field; a
+        float without ``d``.  The preconditioner multiplies by it, which costs
+        a third to a fifth less than a division.
+        """
+        diag = self.diagonal()
+        if isinstance(diag, np.ndarray):
+            return np.divide(1.0, diag, out=diag)
+        return 1.0 / diag
 
 
 def pcg_solve(
@@ -295,13 +331,16 @@ def pcg_solve(
 
     Given ``x`` (a C-contiguous float field on the grid that does not overlap
     ``rhs``), the solve starts from it, iterates in place and returns it.
-    Without ``x`` it starts from zero, whose residual is ``rhs`` itself (no
-    matvec), in a new array, which the caller owns.  Neither ``rhs`` nor
-    ``x`` may be a field of the workspace, which holds CG's ``r``, ``p`` and
-    ``q``.
+    Without ``x`` it starts from zero, whose residual is ``rhs`` itself, in a
+    new array, which the caller owns: the first iteration writes ``x = alpha
+    p`` and ``r = rhs - alpha q`` whole, so the zero start takes no matvec,
+    no fill and no copy.  Either start is preconditioned straight into the
+    search direction ``p``.  Neither ``rhs`` nor ``x`` may be a field of the
+    workspace, which holds CG's ``r``, ``p`` and ``q``.
 
     :class:`NonConvergenceError` is raised, naming the true and the recursive
-    residual, when a large step's true residual stagnates above the target;
+    residual, when a large step's true residual stagnates above the target
+    (a recursive residual that levels off above it leads there too);
     it is raised too when the residual turns non-finite, and after ``10 *
     sqrt(node count)`` iterations (at least 10).  A right-hand side whose norm
     is not finite raises :class:`NumericalError` before any iteration, and a
@@ -314,18 +353,18 @@ def pcg_solve(
     """
     grid = op.grid
     grid.check_field(rhs, "rhs")
-    if not 0 < target < np.inf:
+    if not 0 < target < math.inf:
         raise ValueError(f"target must be finite and positive, got {target}")
-    cap = max(10, int(10 * np.sqrt(grid.num_nodes)))
+    cap = max(10, int(10 * math.sqrt(grid.num_nodes)))
     spectral = _is_spectral(grid, op.tau)
     if spectral:
         name = "spectral"
         precondition = partial(_spectral_solve, _spectral(grid.shape, grid.h1, grid.h2, op.tau))
     else:
-        name, diag = "jacobi", op._jacobi
+        name, inv_diag = "jacobi", op._jacobi
 
         def precondition(r, out):
-            return np.divide(r, diag, out=out)
+            return np.multiply(r, inv_diag, out=out)
     check_true = _is_large_step(grid, op.tau)
     r, p, q, prod, _ = _workspace(grid.shape)
 
@@ -335,7 +374,7 @@ def pcg_solve(
         return grid.l2(r)
 
     rhs_norm = grid.l2(rhs)
-    if not np.isfinite(rhs_norm):
+    if not math.isfinite(rhs_norm):
         raise NumericalError(f"right-hand side has non-finite l2 norm {rhs_norm}")
     start = 0
     warm = x is not None
@@ -344,6 +383,7 @@ def pcg_solve(
     # being trimmed from the heap top and faulted in again: 4 minor faults
     # per li-leps step on ring 200² with x allocated here, 136 with x first.
     x = _out_field(grid, rhs, x, "x")
+    zero = False
     if spectral and (op.d is None or not op.d.any()):
         # P is the exact inverse of A: CG's first step from zero, alpha = 1
         precondition(rhs, x)
@@ -352,27 +392,40 @@ def pcg_solve(
     elif warm:
         res = true_residual()
     else:
-        # A 0 is exactly zero, so the zero start's residual is rhs: no matvec
-        x.fill(0.0)
-        np.copyto(r, rhs)
+        # A 0 is exactly zero, so the zero start's residual is rhs: no matvec,
+        # and the first iteration writes x and r whole, so neither is zeroed
+        # nor copied first
+        zero = True
         res = rhs_norm
-    replaced = res
+        if res <= target:
+            x.fill(0.0)
+    replaced = best = res
     if res <= target:
         return x, SolveReport(start, res, True, name)
 
-    precondition(r, q)
-    np.copyto(p, q)
-    rz = grid.inner(r, q)
+    residual = rhs if zero else r
+    precondition(residual, p)
+    rz = grid.inner(residual, p)
+    stalled = 0
     for k in range(start + 1, cap + 1):
         op.apply(p, out=q)
         alpha = rz / grid.inner(p, q)
-        x += np.multiply(p, alpha, out=prod)
-        r -= np.multiply(q, alpha, out=prod)
+        if zero:
+            np.multiply(p, alpha, out=x)
+            np.subtract(rhs, np.multiply(q, alpha, out=prod), out=r)
+            zero = False
+        else:
+            x += np.multiply(p, alpha, out=prod)
+            r -= np.multiply(q, alpha, out=prod)
         res = grid.l2(r)
-        if not np.isfinite(res):
+        if not math.isfinite(res):
             raise NonConvergenceError(f"non-finite residual at iteration {k}")
+        if res < best:
+            best, stalled = res, 0
+        else:
+            stalled += 1
         restart = False
-        if res <= target:
+        if res <= target or (check_true and stalled == _STALL_ITERATIONS):
             if not check_true:
                 return x, SolveReport(k, res, True, name)
             recursive = res
@@ -384,13 +437,14 @@ def pcg_solve(
                     f"CG stagnated at iteration {k}: true residual {res:.3e} "
                     f"(recursive {recursive:.3e}) no longer decreases and misses {target:.3e}"
                 )
-            replaced = res
+            replaced = best = res
+            stalled = 0
             restart = True
-        precondition(r, q)
-        rz_new = grid.inner(r, q)
-        if restart:
-            np.copyto(p, q)
-        else:
+        # a restart searches from the replaced residual's own direction
+        z = p if restart else q
+        precondition(r, z)
+        rz_new = grid.inner(r, z)
+        if not restart:
             p *= rz_new / rz
             p += q
         rz = rz_new

@@ -152,8 +152,8 @@ def laplacian(
     The neighbour sums write into ``out`` through slice views, so no
     temporary field is allocated.  Each axis stores or adds its neighbour sum
     and then subtracts ``U`` twice, which maps constants to exactly zero; in
-    2D the x-part is scaled by ``h2^2/h1^2`` before the y-part joins it and
-    the sum is divided by ``h2^2``.
+    2D the x-part is scaled by ``h2^2/h1^2`` (unless ``h1 == h2``) before the
+    y-part joins it and the sum is divided by ``h2^2``.
 
     In 1D mode the y-term is skipped: both y-neighbors are the node itself.
     On Dirichlet-exact grids the high-edge neighbors are read from ``bv``
@@ -169,7 +169,8 @@ def laplacian(
         out /= grid.h1**2
         return out
 
-    out *= grid.h2**2 / grid.h1**2
+    if grid.h1 != grid.h2:
+        out *= grid.h2**2 / grid.h1**2
     add_y_neighbour_sum(grid, U, bv, out)
     out -= U
     out -= U
@@ -188,9 +189,17 @@ def h1_norm(grid: Grid, U: np.ndarray) -> float:
     )
 
 
-def extrapolate_half_step(u_n: np.ndarray, u_nm1: np.ndarray) -> np.ndarray:
-    """Second-order prediction at the half step: ``(3*u_n - u_nm1) / 2``."""
-    return 1.5 * u_n - 0.5 * u_nm1
+def extrapolate_half_step(u_n: np.ndarray, u_nm1: np.ndarray, out: np.ndarray | None = None,
+                          scratch: np.ndarray | None = None) -> np.ndarray:
+    """Second-order prediction at the half step: ``1.5*u_n - 0.5*u_nm1``.
+
+    Written into ``out`` and returned, with ``0.5*u_nm1`` formed in
+    ``scratch``: two fields apart from each other and from the inputs.
+    Either one left out is a new field.
+    """
+    out = np.multiply(u_n, 1.5, out=out)
+    out -= np.multiply(u_nm1, 0.5, out=scratch)
+    return out
 
 
 def time_average(u_np1: np.ndarray, u_n: np.ndarray) -> np.ndarray:
@@ -225,19 +234,20 @@ def coupling(x, out: np.ndarray | None = None) -> np.ndarray:
     non-finite input.
     """
     x = _require_finite(x)
-    t = _coupling(x, np.empty_like(x) if out is None else out)
+    t = _coupling(x, np.empty_like(x) if out is None else out, np.empty_like(x))
     return t if out is not None or t.ndim else t[()]
 
 
-def _coupling(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _coupling(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """:func:`coupling` of a float array already known to be finite, into ``out``.
 
     Skips the finiteness pass, for callers whose input is built from
-    validated fields; ``out`` may be ``x``.
+    validated fields; ``out`` may be ``x``, and ``scratch``, which takes the
+    radicand, is a third field.
     """
     t = np.multiply(x, 0.5, out=out)
     np.tan(t, out=t)
-    radicand = np.multiply(t, t, out=np.empty_like(t))
+    radicand = np.multiply(t, t, out=scratch)
     radicand *= 0.75
     radicand += 1.0
     radicand *= t

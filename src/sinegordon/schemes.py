@@ -244,8 +244,11 @@ def li_leps_step(state: SchemeState, tau: float, cg_tol: float = CG_TOL) -> Sche
     """
     if state.u_prev is None:
         raise ValueError("li_leps_step needs the previous level; take li_leps_first_step first")
-    d = extrapolate_half_step(state.u, state.u_prev)
-    return _li_advance(state, tau, coupling(d, d), cg_tol)
+    # d is the one new field: 0.5 u_prev and the coupling's radicand go into
+    # the CG workspace's scratch field, idle until the solve starts.
+    scratch = _workspace(state.grid.shape)[3]
+    d = extrapolate_half_step(state.u, state.u_prev, np.empty(state.grid.shape), scratch)
+    return _li_advance(state, tau, coupling(d, d, scratch), cg_tol)
 
 
 def li_leps_first_step(state: SchemeState, tau: float, cg_tol: float = CG_TOL) -> SchemeState:
@@ -255,7 +258,8 @@ def li_leps_first_step(state: SchemeState, tau: float, cg_tol: float = CG_TOL) -
     """
     if state.u_prev is not None:
         raise ValueError("first step must start from level 0 (no previous level)")
-    d = coupling(state.u, np.empty(state.grid.shape))
+    shape = state.grid.shape
+    d = coupling(state.u, np.empty(shape), _workspace(shape)[3])
     return _li_advance(state, tau, d, cg_tol)
 
 

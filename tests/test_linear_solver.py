@@ -5,7 +5,7 @@ from sinegordon import (Boundary, NonConvergenceError, NumericalError, SystemOpe
                         coupling, get_problem, make_grid, pcg_solve)
 
 from sinegordon.linear_solver import SolveReport, _spectral, _spectral_solve, _workspace
-from sinegordon.schemes import CG_TOL
+from sinegordon.schemes import CG_TOL, _base, init_state
 
 from oracles import dense_system_matrix, interior_mask, peak_fields
 
@@ -106,6 +106,10 @@ def test_diagonal_matches_dense():
     op = random_operator(g, 0.2, seed=9)
     A = dense_system_matrix(g, 0.2, op.d)
     np.testing.assert_allclose(op.diagonal().ravel(), np.diag(A), rtol=1e-13)
+    # the Jacobi path keeps the diagonal's reciprocal, a float without d
+    np.testing.assert_array_equal(op._jacobi, 1.0 / op.diagonal())
+    bare = SystemOperator(g, 0.2)
+    assert bare._jacobi == 1.0 / bare.diagonal()
 
 
 def count_diagonals(monkeypatch):
@@ -333,6 +337,24 @@ def test_non_convergence_raises():
     rhs = np.random.default_rng(13).normal(size=g.shape)
     with pytest.raises(NonConvergenceError, match=r"did not reach .* within 200 iterations"):
         pcg_solve(op, rhs, target_of(g, rhs))
+
+
+def test_recursive_residual_stalled_above_the_target_raises_stagnation(monkeypatch):
+    # li-leps' first system on double-pole-1d n 3200 at tau/h 32: the recursive
+    # residual levels off at 1.002e-14, just above a 1e-14 target.  The solve
+    # takes the true residual once the recursive one stops making progress and
+    # raises on the stagnation rule, instead of running to its 565-iteration
+    # cap and reporting the recursive residual as the failure.
+    p = get_problem("double-pole-1d")
+    g = p.grid(3200)
+    tau = 32 * g.h1
+    state = init_state(p, g)
+    d = coupling(state.u)
+    rhs = _base(state, tau)[0] - 0.5 * tau * tau * d * state.r
+    calls = count_applies(monkeypatch)
+    with pytest.raises(NonConvergenceError, match=r"stagnated at iteration \d+: true residual"):
+        pcg_solve(SystemOperator(g, tau, d), rhs, 1e-14)
+    assert len(calls) < 565
 
 
 def test_non_finite_or_nonpositive_tau_and_tol_rejected():

@@ -158,6 +158,10 @@ def test_extrapolate_half_step():
     for j2 in range(g.n2):
         for j1 in range(g.n1):
             assert out[j2, j1] == 1.5 * a[j2, j1] - 0.5 * b[j2, j1]
+    # into out, through scratch: the same values
+    into, scratch = np.empty(g.shape), np.empty(g.shape)
+    assert extrapolate_half_step(a, b, into, scratch) is into
+    np.testing.assert_array_equal(into, out)
 
 
 def test_time_average():
@@ -360,8 +364,9 @@ BIT_GRIDS = [
     make_grid(0, 1, 0, 2, n1=9, n2=7), make_grid(0, 1, 0, 2, n1=2, n2=5),
     make_grid(0, 3, n1=7),
     make_grid(0, 1, 0, 2, n1=9, n2=7, boundary=Boundary.DIRICHLET_EXACT),
+    make_grid(-14, 14, -14, 14, n1=8, n2=8),  # h1 == h2: the x-part takes no scale
 ]
-BIT_IDS = ["9x7", "2x5", "1d-7", "dirichlet-9x7"]
+BIT_IDS = ["9x7", "2x5", "1d-7", "dirichlet-9x7", "square-8x8"]
 
 
 @pytest.mark.parametrize("grid", BIT_GRIDS, ids=BIT_IDS)

@@ -4,10 +4,12 @@ The production scheme satisfies a per-node balance for the modified
 (quadratized) energy density: the forward time difference of the density
 equals a discrete flux divergence, at every node and every step, on periodic
 grids.  Summing the balance over the grid telescopes the flux away, which is
-the global conservation statement.  The balance written with the original
-density ``1 - cos(u)`` in place of ``r^2`` does NOT hold to round-off; its
-residual shrinks at second order under mesh refinement and serves as the
-discriminating control.
+the global conservation statement.  For li-leps pairs the balance written
+with the original density ``1 - cos(u)`` in place of ``r^2`` does not hold to
+round-off; its residual shrinks at second order under mesh refinement and
+serves as the discriminating control.  ep-fds pairs satisfy that
+original-density balance to round-off, since ep-fds conserves the original
+energy.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ def local_law_residual(state_n: SchemeState, state_np1: SchemeState, tau: float)
 
 
 def original_law_residual(state_n: SchemeState, state_np1: SchemeState, tau: float) -> np.ndarray:
-    """Residual of the balance written with the original density (not conserved)."""
+    """Residual of the balance written with the original density; round-off for ep-fds pairs only."""
     return _law_residual(original_energy_density, state_n, state_np1, tau)
 
 

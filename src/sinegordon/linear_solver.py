@@ -29,11 +29,10 @@ built: ``d=None`` and ``d=zeros`` solve bit-identically.
 On large steps, ``tau^2 (1/h1^2 + 1/h2^2) >= 0.5`` (``tau^2/h1^2`` in 1D: the
 rule that selects the spectral path), a solve on either path accepts its
 result only after checking the true residual ``rhs - A x``, and reports it.
-Once the recursive residual meets the target, or has set no new low for
-``_STALL_ITERATIONS`` iterations, one ``op.apply`` recomputes the true one.
-If that misses the target, it replaces the recursive residual and the search
-restarts from it (``p = z``); a replaced residual that no longer decreases
-means the solve has stagnated above the target.
+Once the recursive residual meets the target, one ``op.apply`` recomputes the
+true one.  If that misses the target, it replaces the recursive residual and
+the search restarts from it (``p = z``); a replaced residual that no longer
+decreases means the solve has stagnated above the target.
 ``numpy.fft`` is imported on first use of the spectral path only, so Jacobi
 runs never load it.
 
@@ -136,13 +135,6 @@ def _workspace(shape: tuple[int, int]) -> tuple[np.ndarray, ...]:
 # In 1D the FFT lost or tied up to tau/h 4, so 1D grids stay on Jacobi.  The
 # same value marks the large steps whose solves check their true residual.
 _LARGE_STEP_RATIO = 0.5
-
-
-# On large steps, the iterations without a new lowest recursive residual
-# after which the true residual is taken, as when the recursive one meets
-# the target.  Solves that converge stay well below it: at most 8 such
-# iterations in a row over the test suite and the CI benchmark workloads.
-_STALL_ITERATIONS = 20
 
 
 def _is_large_step(grid: Grid, tau: float) -> bool:
@@ -339,8 +331,7 @@ def pcg_solve(
     workspace, which holds CG's ``r``, ``p`` and ``q``.
 
     :class:`NonConvergenceError` is raised, naming the true and the recursive
-    residual, when a large step's true residual stagnates above the target
-    (a recursive residual that levels off above it leads there too);
+    residual, when a large step's true residual stagnates above the target;
     it is raised too when the residual turns non-finite, and after ``10 *
     sqrt(node count)`` iterations (at least 10).  A right-hand side whose norm
     is not finite raises :class:`NumericalError` before any iteration, and a
@@ -399,14 +390,13 @@ def pcg_solve(
         res = rhs_norm
         if res <= target:
             x.fill(0.0)
-    replaced = best = res
+    replaced = res
     if res <= target:
         return x, SolveReport(start, res, True, name)
 
     residual = rhs if zero else r
     precondition(residual, p)
     rz = grid.inner(residual, p)
-    stalled = 0
     for k in range(start + 1, cap + 1):
         op.apply(p, out=q)
         alpha = rz / grid.inner(p, q)
@@ -420,16 +410,10 @@ def pcg_solve(
         res = grid.l2(r)
         if not math.isfinite(res):
             raise NonConvergenceError(f"non-finite residual at iteration {k}")
-        if res < best:
-            best, stalled = res, 0
-        else:
-            stalled += 1
         restart = False
-        if res <= target or (check_true and stalled == _STALL_ITERATIONS):
-            if not check_true:
-                return x, SolveReport(k, res, True, name)
-            recursive = res
-            res = true_residual()
+        if res <= target:
+            if check_true:
+                recursive, res = res, true_residual()
             if res <= target:
                 return x, SolveReport(k, res, True, name)
             if not res < replaced:
@@ -437,8 +421,7 @@ def pcg_solve(
                     f"CG stagnated at iteration {k}: true residual {res:.3e} "
                     f"(recursive {recursive:.3e}) no longer decreases and misses {target:.3e}"
                 )
-            replaced = best = res
-            stalled = 0
+            replaced = res
             restart = True
         # a restart searches from the replaced residual's own direction
         z = p if restart else q

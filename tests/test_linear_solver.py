@@ -339,12 +339,13 @@ def test_non_convergence_raises():
         pcg_solve(op, rhs, target_of(g, rhs))
 
 
-def test_recursive_residual_stalled_above_the_target_raises_stagnation(monkeypatch):
+def test_true_residual_floor_above_the_target_raises_stagnation(monkeypatch):
     # li-leps' first system on double-pole-1d n 3200 at tau/h 32: the recursive
-    # residual levels off at 1.002e-14, just above a 1e-14 target.  The solve
-    # takes the true residual once the recursive one stops making progress and
-    # raises on the stagnation rule, instead of running to its 565-iteration
-    # cap and reporting the recursive residual as the failure.
+    # residual meets the 1e-14 target at iterations 411, 452 and 489, but the
+    # true residual misses it each time and replaces it for a restart.  At
+    # iteration 525 the true residual (3.44e-13, recursive 9.58e-15) no longer
+    # decreases: the solve raises on the stagnation rule at its round-off
+    # floor, well before its 565-iteration cap.
     p = get_problem("double-pole-1d")
     g = p.grid(3200)
     tau = 32 * g.h1
@@ -534,6 +535,19 @@ def test_non_finite_rhs_raises(bad, tau, with_x0, monkeypatch):
     with pytest.raises(NumericalError, match="right-hand side"):
         pcg_solve(op, rhs, CG_TOL, x0 if with_x0 else None)
     assert calls == []
+
+
+@pytest.mark.parametrize("with_x0", [False, True], ids=["zero-start", "x0"])
+@pytest.mark.parametrize("tau", [0.01, 0.1], ids=["jacobi", "spectral"])
+def test_non_finite_operator_raises_at_the_first_iteration(tau, with_x0):
+    # one NaN in d poisons A p, and with it the first recursive residual
+    g = make_grid(0, 1, 0, 1, n1=8, n2=8)
+    d = np.full(g.shape, 0.5)
+    d[3, 5] = np.nan
+    rng = np.random.default_rng(65)
+    rhs, x0 = rng.normal(size=(2, *g.shape))
+    with pytest.raises(NonConvergenceError, match="^non-finite residual at iteration 1$"):
+        pcg_solve(SystemOperator(g, tau, d), rhs, CG_TOL, x0 if with_x0 else None)
 
 
 @pytest.mark.parametrize("grid,tau,with_d,preconditioner", [

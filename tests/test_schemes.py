@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import weakref
 
 import numpy as np
@@ -407,6 +408,19 @@ class TestLargeStepSolves:
         tau_over_h = 32 if scheme == "li-leps" else 16
         with pytest.raises(NonConvergenceError, match=r"true residual .*recursive"):
             run(p, g, TimeGrid(tau_over_h * g.h1, 5), scheme=scheme)
+
+    def test_residual_hump_is_not_taken_for_a_floor(self, checked_solves):
+        # ep-fds' first step at tau/h 32 (tau 0.8): the third sweep's residual
+        # stays above its start for 20 iterations and meets its goal at
+        # iteration 52, as CG's residual may (CG minimises the error's
+        # A-norm).  The step fails only at its round-off floor, sweeps later.
+        p = get_problem("double-pole-1d")
+        g = p.grid(1600)
+        with pytest.raises(NonConvergenceError, match="stagnated") as info:
+            ep_fds_step(init_state(p, g), 32 * g.h1)
+        assert len(checked_solves) >= 3
+        true = float(re.search(r"true residual (\S+) ", str(info.value)).group(1))
+        assert true < 1e-11
 
 
 class TestCosQuotient:

@@ -27,9 +27,13 @@ PINS = {
         ("schemes.fp_sweeps_per_step", "<=", 2.16,
          "ep-fds takes 2.16 fixed-point sweeps per step from its O(tau^4) start: "
          "a quotient, a start or a sweep goal that slows the fixed point shows here"),
-        ("linear_solver.matvecs", "<=", 1036,
+        ("linear_solver.matvecs", "<=", 920,
          "the Jacobi path's count with ep-fds' inexact early sweeps and li-leps' "
-         "zero starts, which take no matvec: no direct solve reaches it"),
+         "zero starts, which take no matvec, and ep-fds' sweeps after the first, "
+         "which start from the chained residual with none: no direct solve reaches it"),
+        ("grid.reduction_calls", "<=", 3407,
+         "ep-fds' d-free Jacobi solves run plain CG, two reductions per iteration "
+         "where li-leps' take three (3611 with three for both)"),
         ("operators.laplacian_calls", "==", 300,
          "100 li-leps steps take one Laplacian each, 100 ep-fds steps two "
          "(its b0 and its start's Lap v)"),
@@ -53,9 +57,10 @@ PINS = {
          "the Dirichlet edge data is evaluated once per level"),
         ("operators.laplacian_calls", "==", 5900,
          "a li-leps step takes one Laplacian, an ep-fds step two (its b0 and its start's Lap v)"),
-        ("linear_solver.matvecs", "<=", 10636,
+        ("linear_solver.matvecs", "<=", 9136,
          "the count of the 1D and Dirichlet solve paths with ep-fds' inexact early sweeps, "
-         "li-leps' zero starts and no lifting matvec"),
+         "li-leps' zero starts, no lifting matvec and no start matvec in ep-fds' "
+         "sweeps after the first, which start from the chained residual"),
     ),
 }
 

@@ -16,15 +16,19 @@ both schemes always get the same class of solver on one configuration:
 - Every other grid (1D, Dirichlet-exact, or small ``tau/h``) uses the exact
   *Jacobi* diagonal, which wins there: an FFT pair costs more than the few
   cheap iterations it saves.  Its reciprocal is computed once per operator,
-  on the Jacobi path alone, and each application multiplies by it.
+  on the Jacobi path alone, and each application multiplies by it.  Where
+  ``d`` is None or identically zero (the ep-fds operator) the diagonal is
+  one number, so Jacobi's iterates are plain CG's: those solves take no
+  preconditioner pass, and one ``r.r`` per iteration is both the stop test
+  and ``rz``, two reductions per iteration where a field diagonal takes three.
 
 Where ``d`` is None or identically zero (the ep-fds operator), ``A`` is the
 circulant that ``P`` inverts exactly, so a spectral solve is direct: ``x = P
 rhs``, checked by one true residual.  That is CG's first step from zero (with
 an exact ``P`` its step length is 1), so it is reported as one iteration, and
 it ignores the start field.  Should its true residual miss the target, CG goes
-on from ``x``.  The path is chosen by the matrix, not by how the operator was
-built: ``d=None`` and ``d=zeros`` solve bit-identically.
+on from ``x``.  Both d-free paths are chosen by the matrix, not by how the
+operator was built: ``d=None`` and ``d=zeros`` solve bit-identically.
 
 On large steps, ``tau^2 (1/h1^2 + 1/h2^2) >= 0.5`` (``tau^2/h1^2`` in 1D: the
 rule that selects the spectral path), a solve on either path accepts its
@@ -48,7 +52,9 @@ the scratch field, also holds the complex ``rfft2`` half-spectrum of the
 spectral preconditioner, since the scratch field is idle while the transform
 runs; the spectral symbol is kept for the most recent ``(grid, tau)``.  Every
 solution without a start field and every ``apply`` without ``out`` is a new
-array that shares no memory with them.
+array that shares no memory with them.  A solve from a start field leaves its
+last residual in CG's ``r``, which a caller may hand to the next solve as its
+start residual (ep-fds' sweeps do, see :func:`pcg_solve`).
 
 The solver knows no tolerance of its own: each caller passes the absolute
 residual target its step needs (see :mod:`~sinegordon.schemes`).
@@ -102,7 +108,8 @@ def _workspace(shape: tuple[int, int]) -> tuple[np.ndarray, ...]:
     ``max(n2*n1, 2*n2*(n1//2 + 1))`` floats with the complex half-spectrum
     of shape ``(n2, n1//2 + 1)``, which that preconditioner transforms in.
     No solve reads what an earlier one left in these fields, so the steps
-    borrow them between solves.
+    borrow them between solves, with one exception: ep-fds chains each
+    sweep's start residual in ``r``, which the steps must not borrow.
     """
     n2, n1 = shape
     half = (n2, n1 // 2 + 1)
@@ -298,8 +305,9 @@ class SystemOperator:
         """The reciprocal of :meth:`diagonal`, computed on the first Jacobi solve and kept.
 
         Computed in the diagonal's own field, so it costs no second field; a
-        float without ``d``.  The preconditioner multiplies by it, which costs
-        a third to a fifth less than a division.
+        float without ``d``, where solves run plain CG and never read it.  The
+        preconditioner multiplies by it, which costs a third to a fifth less
+        than a division.
         """
         diag = self.diagonal()
         if isinstance(diag, np.ndarray):
@@ -312,6 +320,7 @@ def pcg_solve(
     rhs: np.ndarray,
     target: float,
     x: np.ndarray | None = None,
+    residual: np.ndarray | None = None,
 ) -> tuple[np.ndarray, SolveReport]:
     """Solve ``op @ x = rhs`` by preconditioned CG on the grid inner product.
 
@@ -327,8 +336,17 @@ def pcg_solve(
     new array, which the caller owns: the first iteration writes ``x = alpha
     p`` and ``r = rhs - alpha q`` whole, so the zero start takes no matvec,
     no fill and no copy.  Either start is preconditioned straight into the
-    search direction ``p``.  Neither ``rhs`` nor ``x`` may be a field of the
-    workspace, which holds CG's ``r``, ``p`` and ``q``.
+    search direction ``p`` (copied there where the diagonal is one number).
+    Neither ``rhs`` nor ``x`` may be a field of the workspace, which holds
+    CG's ``r``, ``p`` and ``q``.
+
+    ``residual``, given with ``x``, is a field holding ``rhs - A x``: the
+    solve takes it as its start residual in place of a matvec (copied into
+    the workspace's ``r`` unless it is that field), and, like every solve
+    from a start field, leaves its last residual in ``r``.  The spectral
+    path's direct start ignores it.  On large steps pass none: the
+    stagnation rule compares against the start residual, which must then
+    be the true one.
 
     :class:`NonConvergenceError` is raised, naming the true and the recursive
     residual, when a large step's true residual stagnates above the target;
@@ -348,9 +366,17 @@ def pcg_solve(
         raise ValueError(f"target must be finite and positive, got {target}")
     cap = max(10, int(10 * math.sqrt(grid.num_nodes)))
     spectral = _is_spectral(grid, op.tau)
+    d_free = op.d is None or not op.d.any()
+    plain = not spectral and d_free
     if spectral:
         name = "spectral"
         precondition = partial(_spectral_solve, _spectral(grid.shape, grid.h1, grid.h2, op.tau))
+    elif plain:
+        # the diagonal is one number: Jacobi's iterates are plain CG's
+        name = "jacobi"
+
+        def precondition(r, out):
+            np.copyto(out, r)
     else:
         name, inv_diag = "jacobi", op._jacobi
 
@@ -375,11 +401,15 @@ def pcg_solve(
     # per li-leps step on ring 200² with x allocated here, 136 with x first.
     x = _out_field(grid, rhs, x, "x")
     zero = False
-    if spectral and (op.d is None or not op.d.any()):
+    if spectral and d_free:
         # P is the exact inverse of A: CG's first step from zero, alpha = 1
         precondition(rhs, x)
         start = 1
         res = true_residual()
+    elif warm and residual is not None:
+        if residual is not r:
+            np.copyto(r, residual)
+        res = grid.l2(r)
     elif warm:
         res = true_residual()
     else:
@@ -407,7 +437,8 @@ def pcg_solve(
         else:
             x += np.multiply(p, alpha, out=prod)
             r -= np.multiply(q, alpha, out=prod)
-        res = grid.l2(r)
+        rr = grid.inner(r, r)
+        res = math.sqrt(rr)
         if not math.isfinite(res):
             raise NonConvergenceError(f"non-finite residual at iteration {k}")
         restart = False
@@ -423,13 +454,17 @@ def pcg_solve(
                 )
             replaced = res
             restart = True
-        # a restart searches from the replaced residual's own direction
-        z = p if restart else q
-        precondition(r, z)
-        rz_new = grid.inner(r, z)
+        if plain and not restart:
+            # r·r, the stop test's, is plain CG's rz: no third reduction
+            z, rz_new = r, rr
+        else:
+            # a restart searches from the replaced residual's own direction
+            z = p if restart else q
+            precondition(r, z)
+            rz_new = grid.inner(r, z)
         if not restart:
             p *= rz_new / rz
-            p += q
+            p += z
         rz = rz_new
     raise NonConvergenceError(
         f"CG did not reach {target:.3e} within {cap} iterations (residual {res:.3e})"

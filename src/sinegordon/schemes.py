@@ -38,7 +38,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .grid import Boundary, Grid
-from .linear_solver import NumericalError, SolveReport, SystemOperator, _workspace, pcg_solve
+from .linear_solver import (NumericalError, SolveReport, SystemOperator, _is_large_step,
+                            _workspace, pcg_solve)
 from .operators import (BoundaryValues, extrapolate_half_step, laplacian, one_minus_cos, sin_cos,
                         zero_pinned_ring)
 # The steps read only validated fields, so they take operators.coupling's
@@ -330,7 +331,10 @@ def ep_fds_step(
         A delta = b0 - (tau^2/2) Q(delta),    A = I - (tau^2/4) Lap,
 
     ``b0`` being the increment's explicit part.  The start, the inexact
-    early sweeps and the stop are described in the README.  With ``target =
+    early sweeps and the stop are described in the README.  Below the
+    large-step ratio each sweep after the first starts from the last
+    solve's residual plus the change of right-hand side, so a step applies
+    ``A`` once beyond its CG iterations.  With ``target =
     cg_tol * max(l2(b0), (tau^2/2) l2(sin u))``, at least the smallest normal
     float, the returned level satisfies
 
@@ -352,12 +356,13 @@ def ep_fds_step(
     # new level's v until the sweeps end, the sweep's right-hand side in its
     # r, and delta in its u.  Each new quotient, and the next right-hand
     # side formed from it, go into the CG work field p; its scratch and the
-    # lag difference borrow two more.  All three are idle between solves.
+    # lag difference borrow two more.  All three are idle between solves;
+    # CG's r is not, since each sweep's start residual is chained in it.
     sin_s, cos_s = _sweep_fields(grid.shape)
     r_new = rhs = np.empty(grid.shape)
     base = _base(state, tau)
     b0 = base[0]
-    work, scratch, scratch2 = _workspace(grid.shape)[1:4]
+    chained, work, scratch, scratch2 = _workspace(grid.shape)[:4]
 
     # The start.  Every sweep keeps delta zero on the pinned ring: there both
     # Q(0) and the scaled sine, zeroed, are zero, so every right-hand side
@@ -379,11 +384,17 @@ def ep_fds_step(
     # The sweep map's contraction bound; only a contraction lets a sweep stop
     # short of the target.
     contraction = 0.25 * t2
+    # Below the large-step ratio a solve stops on its recursive residual and
+    # leaves it in CG's r, so each later sweep's start residual is that plus
+    # the change of right-hand side: no matvec.  Large steps take the true
+    # one, which their stagnation rule compares against.
+    chain = not _is_large_step(grid, tau)
+    start = None
     reports = []
     res_prev = math.inf  # the last solve's residual; delta* came from no solve
     for _ in range(fp_max):
         goal = max(target, contraction * lag) if contraction < 1.0 else target
-        report = pcg_solve(op, rhs, goal, delta)[1]
+        report = pcg_solve(op, rhs, goal, delta, residual=start)[1]
         reports.append(report)
         res = report.final_residual
         # The next lag is at most contraction * l2(delta - delta_prev), and
@@ -397,6 +408,8 @@ def ep_fds_step(
         lag = grid.l2(np.subtract(rhs_next, rhs, out=scratch))
         if goal == target and lag <= target:
             break
+        if chain:
+            start = np.add(chained, scratch, out=chained)
         np.copyto(rhs, rhs_next)
     else:
         last = f" (last lag {lag:.3e}, target {target:.3e})" if reports else ""

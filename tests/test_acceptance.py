@@ -2,7 +2,6 @@
 and prints a PASS/FAIL line (test names mirror the criterion numbering)."""
 
 import math
-import statistics
 
 import numpy as np
 import pytest
@@ -245,13 +244,14 @@ def test_criterion_08_cost_ordering_across_meshes():
     for n in (400, 800, 1600, 3200):
         grid = problem.grid(n)
         tg = TimeGrid.from_final_time(tau, 1.0)
-        # The median of five interleaved runs of each: at n <= 1600 a step is
-        # a few hundred numpy calls, and host noise decides single runs.
+        # The fastest of five interleaved runs of each: at n <= 1600 a step is
+        # a few hundred numpy calls, and host load, which only slows a run,
+        # decides single runs and can fall on most of one scheme's five.
         walls = {"li-leps": [], "ep-fds": []}
         for _ in range(5):
             for scheme, times in walls.items():
                 times.append(run(problem, grid, tg, scheme=scheme).wall_seconds)
-        li, ep = (statistics.median(times) for times in walls.values())
+        li, ep = (min(times) for times in walls.values())
         ok &= li < ep
         lines.append(f"n={n}: li {li:.3f}s < ep {ep:.3f}s")
     report(8, ok, "one linear solve per step beats the fixed-point scheme at every mesh; "

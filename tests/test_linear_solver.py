@@ -3,8 +3,10 @@ import pytest
 
 from sinegordon import (Boundary, NonConvergenceError, NumericalError, SystemOperator,
                         coupling, get_problem, make_grid, pcg_solve)
+from sinegordon.grid import Grid
 
-from sinegordon.linear_solver import SolveReport, _spectral, _spectral_solve, _workspace
+from sinegordon.linear_solver import (SolveReport, _is_large_step, _spectral, _spectral_solve,
+                                      _workspace)
 from sinegordon.schemes import CG_TOL, _base, init_state
 
 from oracles import dense_system_matrix, interior_mask, peak_fields
@@ -167,6 +169,67 @@ def test_operator_without_d_matches_zero_d(grid, tau):
     assert isinstance(bare.diagonal(), float)
     assert np.all(np.diag(dense_system_matrix(grid, tau, np.zeros(grid.shape)))
                   == bare.diagonal())
+
+
+def dense_interior_block(op):
+    """``op``'s matrix over the unknowns (every node on periodic grids), column by column."""
+    unknowns = np.flatnonzero(interior_mask(op.grid))
+    block = np.empty((unknowns.size, unknowns.size))
+    for col, j in enumerate(unknowns):
+        e = np.zeros(op.grid.num_nodes)
+        e[j] = 1.0
+        block[:, col] = op.apply(e.reshape(op.grid.shape)).ravel()[unknowns]
+    return unknowns, block
+
+
+# Jacobi-preconditioned CG on the scalar diagonal takes the same iteration counts.
+@pytest.mark.parametrize("grid,tau,iterations", [
+    (make_grid(0, 3, n1=40), 0.3, 21), (make_grid(0, 1, 0, 2, n1=9, n2=7), 0.05, 11),
+    (get_problem("line-kink-2d").grid(9, 7), 2.0, 23),
+], ids=["1d-40-large", "periodic-9x7", "dirichlet-9x7-large"])
+@pytest.mark.parametrize("with_zero_d", [False, True], ids=["no-d", "zero-d"])
+def test_d_free_jacobi_solve_is_plain_cg(grid, tau, iterations, with_zero_d, monkeypatch):
+    # The diagonal is one number, so Jacobi's iterates are plain CG's: one
+    # r.r per iteration is both the stop test and rz, and with p.q that makes
+    # two reductions per iteration.  The zero start adds l2(rhs) and the first
+    # rz, a large step the true residual it accepts.
+    op = SystemOperator(grid, tau, np.zeros(grid.shape) if with_zero_d else None)
+    rhs = np.where(interior_mask(grid), np.random.default_rng(47).normal(size=grid.shape), 0.0)
+    unknowns, block = dense_interior_block(op)
+    target = target_of(grid, rhs)
+    calls = []
+    inner = Grid.inner
+    monkeypatch.setattr(Grid, "inner", lambda self, u, v: calls.append(0) or inner(self, u, v))
+    x, report = pcg_solve(op, rhs, target)
+    assert report.preconditioner == "jacobi" and report.iterations == iterations
+    assert len(calls) == 2 * iterations + 2 + _is_large_step(grid, tau)
+    x_dense = np.linalg.solve(block, rhs.ravel()[unknowns])
+    np.testing.assert_allclose(x.ravel()[unknowns], x_dense, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("grid,tau,with_d", [
+    (make_grid(0, 1, 0, 2, n1=9, n2=7), 0.05, False),
+    (make_grid(0, 1, 0, 2, n1=9, n2=7), 0.05, True),
+    (get_problem("line-kink-2d").grid(9, 7), 0.05, False),
+], ids=["plain", "jacobi", "dirichlet"])
+def test_given_start_residual_replaces_the_start_matvec(grid, tau, with_d, monkeypatch):
+    # A caller that holds rhs - A x, in CG's r or elsewhere, hands it over and
+    # saves the matvec that computes it: the solve is the same, bit for bit.
+    op = random_operator(grid, tau, seed=48) if with_d else SystemOperator(grid, tau)
+    rng = np.random.default_rng(49)
+    rhs, x0 = np.where(interior_mask(grid), rng.normal(size=(2, *grid.shape)), 0.0)
+    target = target_of(grid, rhs)
+    start = rhs - op.apply(x0)
+    calls = count_applies(monkeypatch)
+    x, report = pcg_solve(op, rhs, target, x0.copy())
+    assert report.iterations >= 2 and len(calls) == report.iterations + 1
+    in_r = _workspace(grid.shape)[0]
+    for residual in (start.copy(), in_r):
+        in_r[...] = start if residual is in_r else np.nan
+        calls.clear()
+        x_given, report_given = pcg_solve(op, rhs, target, x0.copy(), residual=residual)
+        np.testing.assert_array_equal(x_given, x)
+        assert report_given == report and len(calls) == report.iterations
 
 
 def test_repeat_solve_allocates_at_most_two_fields():

@@ -372,8 +372,8 @@ class TestLargeStepSolves:
         checked = []
         solve = schemes.pcg_solve
 
-        def checking_solve(op, rhs, target, x=None):
-            x, report = solve(op, rhs, target, x)
+        def checking_solve(op, rhs, target, x=None, residual=None):
+            x, report = solve(op, rhs, target, x, residual)
             checked.append((report, op.grid.l2(rhs - op.apply(x)), target))
             return x, report
 
@@ -421,6 +421,16 @@ class TestLargeStepSolves:
         assert len(checked_solves) >= 3
         true = float(re.search(r"true residual (\S+) ", str(info.value)).group(1))
         assert true < 1e-11
+
+    def test_large_step_sweeps_start_from_their_true_residual(self):
+        # tau/h 12: a sweep that started from the previous solve's recursive
+        # residual plus the change of right-hand side made that residual the
+        # stagnation rule's reference, and step 1 raised "CG stagnated at
+        # iteration 11: true residual 8.704e-14 (recursive 5.945e-14)".
+        p = get_problem("double-pole-1d")
+        g = p.grid(400)
+        result = run(p, g, TimeGrid(12 * g.h1, 10), scheme="ep-fds")
+        assert result.fp_sweeps > 10 and result.preconditioner == "jacobi"
 
 
 class TestCosQuotient:
@@ -713,6 +723,27 @@ def test_ep_fds_sweeps_take_one_spectral_iteration(monkeypatch):
     assert len(applies) == len(reports)
 
 
+def test_ep_fds_steps_take_one_start_matvec(monkeypatch):
+    # Below the large-step ratio only a step's first sweep takes its start
+    # residual by a matvec; each later sweep starts from the residual its
+    # predecessor left, plus the change of right-hand side.
+    p = get_problem("ring")
+    applies, steps = [], []
+    apply = SystemOperator.apply
+    monkeypatch.setattr(SystemOperator, "apply",
+                        lambda self, w, out=None: applies.append(self) or apply(self, w, out=out))
+
+    def record(k, state):
+        steps.append((len(applies), sum(r.iterations for r in state.reports),
+                      len(state.reports)))
+        applies.clear()
+
+    run(p, p.grid(24), TimeGrid(0.01, 10), scheme="ep-fds", recorders=(record,))
+    assert steps[0] == (0, 0, 0)
+    assert all(matvecs == iterations + 1 for matvecs, iterations, _ in steps[1:])
+    assert max(sweeps for *_, sweeps in steps) >= 2
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_rest_state_bit_stable_on_the_spectral_path(scheme):
     # tau^2 (1/h1^2 + 1/h2^2) = 1.28 puts every solve on the spectral path,
@@ -737,9 +768,9 @@ def test_reported_residuals_are_true_and_meet_their_targets(scheme, monkeypatch)
     solves = []
     pcg_solve = schemes.pcg_solve
 
-    def recording(op, rhs, target, x=None):
+    def recording(op, rhs, target, x=None, residual=None):
         rhs = rhs.copy()
-        x, report = pcg_solve(op, rhs, target, x)
+        x, report = pcg_solve(op, rhs, target, x, residual)
         solves.append((op, rhs, target, x.copy(), report))
         return x, report
 
